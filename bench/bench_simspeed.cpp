@@ -9,7 +9,6 @@
 #include "inject/campaign.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "obs/status_server.h"
 #include "inject/golden.h"
 #include "inject/trial.h"
 #include "uarch/core.h"
@@ -169,9 +168,9 @@ BENCHMARK(BM_CampaignTrials)
     ->Unit(benchmark::kMillisecond);
 
 // The same campaign with every telemetry feature on — event journal with a
-// JSONL sink to the null device, metrics registry, and the HTTP status
-// server listening (no clients connected). The ratio to BM_CampaignTrials
-// at the same arg is the telemetry overhead; the budget is <3%.
+// JSONL sink to the null device and a metrics registry. The ratio to
+// BM_CampaignTrials at the same arg is the telemetry overhead; the budget
+// is <3%.
 void BM_CampaignTrialsTelemetry(benchmark::State& state) {
   CampaignSpec spec;
   spec.workload = "gzip";
@@ -181,14 +180,12 @@ void BM_CampaignTrialsTelemetry(benchmark::State& state) {
   spec.golden.spacing = 500;
   spec.golden.window = 4000;
   spec.golden.slack = 1000;
-  // One journal + server for the whole benchmark (as in suite mode); the
-  // loop measures the marginal per-campaign cost of live telemetry.
+  // One journal for the whole benchmark (as in suite mode); the loop
+  // measures the marginal per-campaign cost of telemetry.
   std::ofstream null_out("/dev/null");
   obs::EventJournal journal;
   obs::JsonlEventSink sink(null_out);
   journal.AddSink(&sink);
-  obs::CampaignStatusServer status;
-  status.Start(0, journal);
   obs::MetricsRegistry metrics;
   CampaignOptions opt;
   opt.jobs = static_cast<int>(state.range(0));
@@ -197,7 +194,6 @@ void BM_CampaignTrialsTelemetry(benchmark::State& state) {
   opt.obs.events = &journal;
   opt.obs.sinks.metrics = &metrics;
   for (auto _ : state) benchmark::DoNotOptimize(RunCampaign(spec, opt));
-  status.Stop();
   journal.RemoveSink(&sink);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           spec.trials);

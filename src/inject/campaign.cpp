@@ -242,25 +242,10 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
   auto emit = [&](obs::Event e) {
     if (journal) journal->Emit(std::move(e));
   };
-  // Metrics snapshots ride the journal as events whose detail is the full
-  // registry JSON, emitted only at points where no other thread mutates the
-  // (deliberately lock-free) registry: after the cache check, after the
-  // golden run, under the checkpoint mutex, and after the post-join replay.
-  // The status server serves the latest one as /metrics; the JSONL file
-  // sink skips them.
-  auto emit_metrics_snapshot = [&] {
-    if (!journal || !metrics) return;
-    std::ostringstream os;
-    metrics->WriteJson(os);
-    obs::Event e;
-    e.kind = obs::EventKind::kMetricsSnapshot;
-    e.detail = os.str();
-    journal->Emit(std::move(e));
-  };
-  // Campaign-finish bookkeeping shared by the cache-hit and live paths: a
-  // final metrics snapshot, the finish event, then a drain so the journal
-  // (including the --progress summary line) is complete before RunCampaign
-  // returns — also on interruption. The finish event carries the number of
+  // Campaign-finish bookkeeping shared by the cache-hit and live paths: the
+  // finish event, then a drain so the journal (including the --progress
+  // summary line) is complete before RunCampaign returns — also on
+  // interruption. The finish event carries the number of
   // events the (shared, possibly pre-used) journal shed to backpressure
   // during THIS campaign, so lossy telemetry is self-reporting.
   const std::uint64_t dropped_before = journal ? journal->dropped() : 0;
@@ -269,7 +254,6 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
     const std::uint64_t dropped = journal->dropped() - dropped_before;
     if (metrics && dropped)
       metrics->GetCounter("campaign.events.dropped").Inc(dropped);
-    emit_metrics_snapshot();
     obs::Event e;
     e.kind = obs::EventKind::kCampaignFinish;
     e.value = kept;
@@ -365,7 +349,6 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
     e.value = golden->checkpoints.size();
     emit(std::move(e));
   }
-  emit_metrics_snapshot();
 
   result.golden_ipc = golden->stats.Ipc();
   result.golden_bp_accuracy =
@@ -414,8 +397,9 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
   const int jobs = std::min(
       ResolveJobs(opt.jobs),
       static_cast<int>(std::max<std::size_t>(n - resumed, 1)));
-  // Wall epoch for the chrome campaign lane and its instant markers; trial
-  // completion counting moved into the event journal (ProgressSink).
+  // Wall epoch for the chrome campaign lane and its instant markers. `done`
+  // counts completed trials for the checkpoint-flush trigger; user-facing
+  // progress is the event journal's ProgressSink.
   const Clock::time_point wall_epoch = Clock::now();
   std::atomic<std::uint64_t> done{resumed};
   std::atomic<std::size_t> next{resumed};
@@ -485,20 +469,13 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
       add_marker("checkpoint disabled", {});
       return;
     }
-    {
-      ckpt_flushed = ckpt_prefix;
-      add_marker("checkpoint flush",
-                 {{"prefix", std::to_string(ckpt_flushed)}});
-      if (journal) {
-        obs::Event e;
-        e.kind = obs::EventKind::kCheckpointFlush;
-        e.value = ckpt_flushed;
-        journal->Emit(std::move(e));
-      }
-      // Safe snapshot point: ckpt_mu serializes flushes, and the flushing
-      // worker is the only thread touching the registry mid-loop (trial
-      // cores carry no sinks; golden-run instruments are quiescent).
-      emit_metrics_snapshot();
+    ckpt_flushed = ckpt_prefix;
+    add_marker("checkpoint flush", {{"prefix", std::to_string(ckpt_flushed)}});
+    if (journal) {
+      obs::Event e;
+      e.kind = obs::EventKind::kCheckpointFlush;
+      e.value = ckpt_flushed;
+      journal->Emit(std::move(e));
     }
   };
 
@@ -512,6 +489,81 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
   // Trial containment: the per-attempt watchdog deadline. TFI_TRIAL_TIMEOUT
   // overrides the option so smoke tests can arm it on any binary.
   policy.timeout_ms = EnvInt("TFI_TRIAL_TIMEOUT", opt.trial_timeout_ms);
+
+  // The one trial-completion path, shared by both executors: in-process
+  // workers call it concurrently (one call per trial they ran), the
+  // isolation supervisor serially from its own thread. It writes only the
+  // trial's own slots, the thread-safe journal, the locked marker list and
+  // atomics, so calls for distinct trials never race. The injection site is
+  // resolved against the probe replica, whose registry layout is identical
+  // to every trial core's, so kTrialDone is the same in both modes. Returns
+  // the number of trials completed so far (resumed ones included).
+  auto complete_trial = [&](IsolatedTrial&& t) -> std::uint64_t {
+    const std::size_t i = t.index;
+    result.trials[i] = t.record;
+    const std::uint64_t now_us = ElapsedUs(wall_epoch, Clock::now());
+    timing[i] = {now_us >= t.dur_us ? now_us - t.dur_us : 0, t.dur_us,
+                 t.worker};
+    if (t.quarantined) {
+      using Reason = QuarantinedTrial::Reason;
+      const Reason reason = t.budget_exhausted ? Reason::kBudget
+                            : t.crashed        ? Reason::kCrash
+                            : t.timed_out      ? Reason::kTimeout
+                                               : Reason::kException;
+      reasons[i] = reason;
+      errmsgs[i] = std::move(t.error);
+      if (journal) {
+        obs::Event ev;
+        using Kind = obs::EventKind;
+        ev.kind = reason == Reason::kCrash     ? Kind::kTrialCrash
+                  : reason == Reason::kTimeout ? Kind::kTrialTimeout
+                                               : Kind::kTrialQuarantine;
+        ev.trial = static_cast<std::int64_t>(i);
+        if (reason == Reason::kCrash) ev.value = t.status;
+        if (reason == Reason::kTimeout)
+          ev.value = static_cast<std::uint64_t>(policy.timeout_ms);
+        ev.detail = errmsgs[i];
+        journal->Emit(std::move(ev));
+      }
+      add_marker(reason == Reason::kCrash     ? "trial crashed"
+                 : reason == Reason::kTimeout ? "trial timeout"
+                                              : "trial quarantined",
+                 {{"trial", std::to_string(i)}, {"error", errmsgs[i]}});
+    }
+    // Budget holes never ran: keeping them out of the completed[] prefix
+    // keeps them out of the checkpoint journal, so a re-run resumes with
+    // real execution instead of inheriting the hole.
+    if (!t.budget_exhausted)
+      completed[i].store(true, std::memory_order_release);
+    if (journal) {
+      const InjectionSite site =
+          ResolveInjectionSite(golden->spec, specs[i], probe.registry());
+      const BitLocation& loc = site.primary;
+      obs::Event ev;
+      ev.kind = obs::EventKind::kTrialDone;
+      ev.trial = static_cast<std::int64_t>(i);
+      ev.outcome = t.record.outcome;
+      ev.mode = t.record.mode;
+      // Site category/storage come from the resolved location, not the
+      // record: a quarantined record carries defaults, but the injection
+      // site is still real.
+      ev.cat = loc.cat;
+      ev.storage = loc.storage;
+      ev.cycles = t.record.cycles;
+      ev.dur_us = t.dur_us;
+      ev.field = loc.name;
+      ev.field_bits = probe.registry().FieldInfoAt(loc.field_index).bits();
+      // Propagation latencies join in when tracing (-1 = silent).
+      if (tracing) {
+        ev.arch_divergence_cycle = result.prop_traces[i].arch_divergence_cycle;
+        ev.first_spread_cycle = result.prop_traces[i].first_spread_cycle;
+      }
+      journal->Emit(std::move(ev));
+    }
+    const std::uint64_t d = done.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (journal_every && d % journal_every == 0) FlushCheckpoint();
+    return d;
+  };
 
   // One worker's share of the campaign: pull the next unclaimed trial index
   // and run it on a private TrialRunner against the shared golden run.
@@ -543,69 +595,26 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
       cur = i;
       const auto t0 = Clock::now();
       TrialRunner::Result res = runner.Run(specs[i], tracing, &hooks);
-      const auto t1 = Clock::now();
-      if (res.quarantined) {
-        errmsgs[i] = res.error;
-        if (res.timed_out) reasons[i] = QuarantinedTrial::Reason::kTimeout;
-        if (checked) {
-          // Per-kind violation tallies for the check.violations.* totals.
-          if (const check::InvariantChecker* chk =
-                  runner.core().invariant_checker();
-              chk && chk->total() != 0) {
-            for (int k = 0; k < check::kNumInvariantKinds; ++k)
-              viol_counts[i][static_cast<std::size_t>(k)] =
-                  chk->CountFor(static_cast<check::InvariantKind>(k));
-          }
+      IsolatedTrial t;
+      t.index = i;
+      t.record = res.record;
+      t.quarantined = res.quarantined;
+      t.timed_out = res.timed_out;
+      t.dur_us = ElapsedUs(t0, Clock::now());
+      t.worker = worker;
+      t.error = std::move(res.error);
+      if (checked && res.quarantined) {
+        // Per-kind violation tallies for the check.violations.* totals.
+        if (const check::InvariantChecker* chk =
+                runner.core().invariant_checker();
+            chk && chk->total() != 0) {
+          for (int k = 0; k < check::kNumInvariantKinds; ++k)
+            viol_counts[i][static_cast<std::size_t>(k)] =
+                chk->CountFor(static_cast<check::InvariantKind>(k));
         }
-        if (journal) {
-          obs::Event ev;
-          ev.kind = res.timed_out ? obs::EventKind::kTrialTimeout
-                                  : obs::EventKind::kTrialQuarantine;
-          ev.trial = static_cast<std::int64_t>(i);
-          if (res.timed_out)
-            ev.value = static_cast<std::uint64_t>(policy.timeout_ms);
-          ev.detail = errmsgs[i];
-          journal->Emit(std::move(ev));
-        }
-        add_marker(res.timed_out ? "trial timeout" : "trial quarantined",
-                   {{"trial", std::to_string(i)}, {"error", errmsgs[i]}});
       }
-      result.trials[i] = res.record;
       if (tracing) result.prop_traces[i] = std::move(res.trace);
-      timing[i] = {ElapsedUs(wall_epoch, t0), ElapsedUs(t0, t1), worker};
-      completed[i].store(true, std::memory_order_release);
-      if (journal) {
-        // The injection site resolved to its registry field: the replica's
-        // registry layout is identical across cores of the same
-        // config/program, so this is a pure read that never perturbs the
-        // trial. Propagation latencies join in when tracing (-1 = silent).
-        const InjectionSite site = ResolveInjectionSite(
-            golden->spec, specs[i], runner.core().registry());
-        const BitLocation& loc = site.primary;
-        obs::Event ev;
-        ev.kind = obs::EventKind::kTrialDone;
-        ev.trial = static_cast<std::int64_t>(i);
-        ev.outcome = res.record.outcome;
-        ev.mode = res.record.mode;
-        // Site category/storage come from the resolved location, not the
-        // record: a quarantined record carries defaults, but the injection
-        // site is still real.
-        ev.cat = loc.cat;
-        ev.storage = loc.storage;
-        ev.cycles = res.record.cycles;
-        ev.dur_us = ElapsedUs(t0, t1);
-        ev.field = loc.name;
-        ev.field_bits =
-            runner.core().registry().FieldInfoAt(loc.field_index).bits();
-        if (tracing) {
-          ev.arch_divergence_cycle = result.prop_traces[i].arch_divergence_cycle;
-          ev.first_spread_cycle = result.prop_traces[i].first_spread_cycle;
-        }
-        journal->Emit(std::move(ev));
-      }
-      const std::uint64_t d =
-          done.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (journal_every && d % journal_every == 0) FlushCheckpoint();
+      const std::uint64_t d = complete_trial(std::move(t));
 
       if (worker == 0 && !opt.obs.progress && opt.verbose &&
           d % 200 < static_cast<std::uint64_t>(jobs)) {
@@ -649,73 +658,9 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
       iso.cancel = opt.cancel;
       iso.before_trial = opt.trial_fault_hook;
       iso.verbose = opt.verbose;
-      // The supervisor invokes this serially (its own thread) per finished
-      // trial — the isolate-mode body of the `work` lambda above, minus the
-      // runner-local bits (site resolution uses the probe replica, whose
-      // registry layout is identical).
-      std::uint64_t done_ct = resumed;
       const IsolateReport rep = RunTrialsIsolated(
-          golden, specs, resumed, iso, [&](IsolatedTrial&& t) {
-            const std::size_t i = t.index;
-            result.trials[i] = t.record;
-            const std::uint64_t now_us = ElapsedUs(wall_epoch, Clock::now());
-            timing[i] = {now_us >= t.dur_us ? now_us - t.dur_us : 0,
-                         t.dur_us, t.worker};
-            if (t.quarantined) {
-              errmsgs[i] = t.error;
-              reasons[i] = t.budget_exhausted
-                               ? QuarantinedTrial::Reason::kBudget
-                           : t.crashed ? QuarantinedTrial::Reason::kCrash
-                           : t.timed_out
-                               ? QuarantinedTrial::Reason::kTimeout
-                               : QuarantinedTrial::Reason::kException;
-              if (journal) {
-                obs::Event ev;
-                ev.trial = static_cast<std::int64_t>(i);
-                ev.detail = t.error;
-                if (t.crashed) {
-                  ev.kind = obs::EventKind::kTrialCrash;
-                  ev.value = t.status;
-                } else if (t.timed_out) {
-                  ev.kind = obs::EventKind::kTrialTimeout;
-                  ev.value = static_cast<std::uint64_t>(policy.timeout_ms);
-                } else {
-                  ev.kind = obs::EventKind::kTrialQuarantine;
-                }
-                journal->Emit(std::move(ev));
-              }
-              add_marker(t.crashed     ? "trial crashed"
-                         : t.timed_out ? "trial timeout"
-                                       : "trial quarantined",
-                         {{"trial", std::to_string(i)}, {"error", t.error}});
-            }
-            // Budget holes never ran: keeping them out of the completed[]
-            // prefix keeps them out of the checkpoint journal, so a re-run
-            // resumes with real execution instead of inheriting the hole.
-            if (!t.budget_exhausted)
-              completed[i].store(true, std::memory_order_release);
-            if (journal) {
-              const InjectionSite site = ResolveInjectionSite(
-                  golden->spec, specs[i], probe.registry());
-              const BitLocation& loc = site.primary;
-              obs::Event ev;
-              ev.kind = obs::EventKind::kTrialDone;
-              ev.trial = static_cast<std::int64_t>(i);
-              ev.outcome = result.trials[i].outcome;
-              ev.mode = result.trials[i].mode;
-              ev.cat = loc.cat;
-              ev.storage = loc.storage;
-              ev.cycles = result.trials[i].cycles;
-              ev.dur_us = t.dur_us;
-              ev.field = loc.name;
-              ev.field_bits =
-                  probe.registry().FieldInfoAt(loc.field_index).bits();
-              journal->Emit(std::move(ev));
-            }
-            const std::uint64_t d = ++done_ct;
-            done.store(d, std::memory_order_relaxed);
-            if (journal_every && d % journal_every == 0) FlushCheckpoint();
-          });
+          golden, specs, resumed, iso,
+          [&](IsolatedTrial&& t) { complete_trial(std::move(t)); });
       result.worker_restarts = rep.restarts;
       result.containment_exhausted = rep.exhausted;
       if (metrics && rep.restarts)

@@ -52,12 +52,11 @@ struct CampaignObs {
   bool progress = false;
   // Structured campaign event journal (obs/events.h). When non-null, the
   // campaign emits start/finish, golden-done, cache, per-trial-completion,
-  // retry/quarantine, checkpoint-flush, cancellation and metrics-snapshot
-  // events into it; tfi wires file (--events-jsonl) and HTTP status
-  // (--status-port) sinks to the same journal. Emission never blocks trial
-  // workers on I/O, and — like every other member here — attaching a
-  // journal leaves trial records, classification counts and cache keys
-  // byte-identical.
+  // retry/quarantine, checkpoint-flush and cancellation events into it; tfi
+  // wires its file sink (--events-jsonl) to the journal. Emission never
+  // blocks trial workers on I/O, and — like every other member here —
+  // attaching a journal leaves trial records, classification counts and
+  // cache keys byte-identical.
   obs::EventJournal* events = nullptr;
 };
 

@@ -14,8 +14,8 @@
 // fixed-layout frames; the parent fills per-index slots, so surviving
 // records are byte-identical to an in-process run at any worker count.
 //
-// This is the containment substrate RunCampaign's --isolate-trials mode (and
-// the ROADMAP's distributed `tfi serve`) builds on.
+// This is the containment substrate RunCampaign's --isolate-trials mode
+// builds on.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +57,9 @@ struct IsolateOptions {
   bool verbose = false;
 };
 
-// One trial's outcome as observed by the supervisor.
+// One trial's outcome as observed by the supervisor. RunCampaign's
+// in-process workers report their trials in the same shape, so both
+// executors share one completion path.
 struct IsolatedTrial {
   std::size_t index = 0;
   TrialRecord record;           // kTrialError stand-in when quarantined

@@ -12,9 +12,6 @@ namespace tfsim::obs {
 
 namespace {
 
-// Rendered-line ring capacity for the /events?tail=N endpoint.
-constexpr std::size_t kTailCapacity = 1024;
-
 const char* StorageName(Storage s) {
   return s == Storage::kLatch ? "latch" : s == Storage::kRam ? "ram"
                                                              : "background";
@@ -33,7 +30,6 @@ const char* EventKindName(EventKind k) {
     case EventKind::kTrialQuarantine: return "trial_quarantine";
     case EventKind::kCheckpointFlush: return "checkpoint_flush";
     case EventKind::kCancelRequested: return "cancel_requested";
-    case EventKind::kMetricsSnapshot: return "metrics_snapshot";
     case EventKind::kCampaignFinish: return "campaign_finish";
     case EventKind::kTrialTimeout: return "trial_timeout";
     case EventKind::kTrialCrash: return "trial_crash";
@@ -87,9 +83,6 @@ std::string RenderEventJson(const Event& e) {
       w.Field("prefix", e.value);
       break;
     case EventKind::kCancelRequested:
-      break;
-    case EventKind::kMetricsSnapshot:
-      // Journal consumers see the kind only; the payload is served live.
       break;
     case EventKind::kCampaignFinish:
       w.Field("trials_kept", e.value);
@@ -170,8 +163,8 @@ void EventJournal::Emit(Event e) {
   e.ts_us = NowUs();
   // Overflow policy: drop the OLDEST queued event (with a counter) rather
   // than blocking the emitter — a slow sink sheds telemetry, it never stalls
-  // a trial worker. Recent events are the valuable ones (the tail ring, the
-  // status server, the campaign_finish footer all want the present).
+  // a trial worker. Recent events are the valuable ones (the progress line
+  // and the campaign_finish footer both want the present).
   if (queue_.size() >= capacity_) {
     queue_.pop_front();
     ++dropped_;
@@ -184,17 +177,10 @@ void EventJournal::Emit(Event e) {
 
 void EventJournal::Flush() {
   std::unique_lock<std::mutex> lock(mu_);
-  // "Everything delivered" is queue-empty + no sink call in flight: with the
-  // drop-oldest policy, delivered_ never catches emitted_ after an overflow.
+  // "Everything delivered" is queue-empty + no sink call in flight (a
+  // delivered count would never catch emitted_ after a drop-oldest overflow).
   drained_.wait(lock,
                 [&] { return (queue_.empty() && !in_flight_) || stop_; });
-}
-
-std::vector<std::string> EventJournal::Tail(std::size_t n) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::size_t take = std::min(n, tail_.size());
-  return std::vector<std::string>(tail_.end() - static_cast<std::ptrdiff_t>(take),
-                                  tail_.end());
 }
 
 std::uint64_t EventJournal::emitted() const {
@@ -221,15 +207,11 @@ void EventJournal::DrainLoop() {
     lock.unlock();
 
     for (EventSink* s : sinks) s->OnEvent(e);
-    std::string line = RenderEventJson(e);
 
     lock.lock();
     in_flight_ = false;
-    tail_.push_back(std::move(line));
-    if (tail_.size() > kTailCapacity) tail_.pop_front();
-    ++delivered_;
     lock.unlock();
-    // Wakes both Flush (delivered==emitted) and RemoveSink (!in_flight).
+    // Wakes both Flush (queue drained) and RemoveSink (!in_flight).
     drained_.notify_all();
   }
 }
@@ -244,7 +226,7 @@ JsonlEventSink::JsonlEventSink(std::ostream& os, std::string_view generated_at)
 }
 
 void JsonlEventSink::OnEvent(const Event& e) {
-  if (disabled_ || e.kind == EventKind::kMetricsSnapshot) return;
+  if (disabled_) return;
   // Chaos site: a firing events.jsonl.write is exactly a disk-level stream
   // failure (the failbit a full disk or yanked volume would raise).
   if (fail::FailHere("events.jsonl.write")) os_.setstate(std::ios::failbit);

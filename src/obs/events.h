@@ -17,8 +17,6 @@
 //   * ProgressSink   — the `--progress` stderr lines, reimplemented as a
 //     journal consumer (monotonic trials/sec, ETA, final summary line even
 //     on cancellation).
-//   * CampaignStatusServer (status_server.h) — live /progress, /heatmap and
-//     /events?tail=N endpoints.
 //
 // Determinism: the journal is pure telemetry. Campaign trial records,
 // classification counts and cache keys are byte-identical with the journal
@@ -51,8 +49,6 @@ enum class EventKind : std::uint8_t {
   kTrialQuarantine,   // all attempts failed (or an invariant tripped)
   kCheckpointFlush,   // journal flushed; value=contiguous prefix size
   kCancelRequested,   // cooperative cancellation observed by the campaign
-  kMetricsSnapshot,   // detail=metrics registry JSON at a safe point (served
-                      // by /metrics; skipped by the JSONL file sink)
   kCampaignFinish,    // value=trials kept; interrupted flag set on cancel;
                       // dropped=events shed by the queue (the journal footer)
   kTrialTimeout,      // watchdog quarantine: the trial exceeded the deadline
@@ -62,7 +58,7 @@ enum class EventKind : std::uint8_t {
   kCheckpointDisabled,// journal flush failed after retries; checkpointing is
                       // off for the rest of the run (detail=why)
 };
-inline constexpr int kNumEventKinds = 14;
+inline constexpr int kNumEventKinds = 13;
 const char* EventKindName(EventKind k);
 
 struct Event {
@@ -142,10 +138,6 @@ class EventJournal {
   // Monotonic microseconds since journal creation (the ts_us clock).
   std::uint64_t NowUs() const;
 
-  // The last `n` rendered JSONL lines (most recent last), from a bounded
-  // ring the drain thread maintains — the /events?tail=N endpoint.
-  std::vector<std::string> Tail(std::size_t n) const;
-
   std::uint64_t emitted() const;
   // Events shed by the drop-oldest overflow policy since construction.
   std::uint64_t dropped() const;
@@ -161,9 +153,7 @@ class EventJournal {
   std::condition_variable drained_;
   std::deque<Event> queue_;
   std::vector<EventSink*> sinks_;
-  std::deque<std::string> tail_;  // bounded rendered-line ring
   std::uint64_t emitted_ = 0;
-  std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
   bool in_flight_ = false;  // drain thread is inside sink OnEvent calls
   bool stop_ = false;
@@ -171,14 +161,12 @@ class EventJournal {
 };
 
 // Writes the journal to a stream as JSONL: header line at construction,
-// then one line per event (kMetricsSnapshot excluded — metrics snapshots
-// are served live, not journaled; the final registry lands in
-// --metrics-json). The stream must outlive the sink; the sink flushes the
-// stream on campaign finish so a SIGINT-interrupted journal is complete up
-// to its last event. A stream write failure (disk full, yanked volume,
-// `events.jsonl.write` failpoint) disables the sink for the rest of the run
-// with a single stderr warning — the campaign continues without its journal
-// file rather than wedging or spamming.
+// then one line per event. The stream must outlive the sink; the sink
+// flushes the stream on campaign finish so a SIGINT-interrupted journal is
+// complete up to its last event. A stream write failure (disk full, yanked
+// volume, `events.jsonl.write` failpoint) disables the sink for the rest of
+// the run with a single stderr warning — the campaign continues without its
+// journal file rather than wedging or spamming.
 class JsonlEventSink : public EventSink {
  public:
   explicit JsonlEventSink(std::ostream& os, std::string_view generated_at = {});

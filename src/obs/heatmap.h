@@ -13,9 +13,8 @@
 //
 // Determinism: cells hold only integer counts and sums (no floating-point
 // accumulation), keyed by field name in a sorted map, so aggregating the
-// same trials in any order — live from the event stream at any --jobs value,
-// or post-hoc from a (possibly cached) CampaignResult — renders byte-
-// identical JSON/CSV.
+// same trials in any order — at any --jobs value, from a live or a cached
+// CampaignResult — renders byte-identical JSON/CSV.
 #pragma once
 
 #include <array>

@@ -1,7 +1,7 @@
 // Failpoint chaos engine: named fault-injection sites on the harness's own
 // durability and telemetry seams (cache stores, checkpoint flushes, JSONL
-// sinks, HTTP serving, the trial cycle loop), so tests can prove campaigns
-// degrade gracefully under I/O failure instead of assuming it.
+// sinks, the trial cycle loop), so tests can prove campaigns degrade
+// gracefully under I/O failure instead of assuming it.
 //
 // A site is a string constant at the seam:
 //
@@ -27,8 +27,6 @@
 //   ckpt.load            LoadCampaignCheckpoint (fires = no resume data)
 //   ckpt.store           StoreCampaignCheckpoint's write attempt (retried)
 //   events.jsonl.write   JsonlEventSink::OnEvent (fires = stream failure)
-//   http.accept          status-server accept loop (fires = drop connection)
-//   http.write           status-server response write (fires = drop reply)
 //   trial.cycle          TrialRunner's cycle loop, every 256 cycles (kDelay
 //                        here simulates a wedged core for watchdog tests)
 #pragma once

@@ -10,11 +10,16 @@
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
+#include <mutex>
+#include <string>
 #include <thread>
+#include <tuple>
+#include <vector>
 
 #include "inject/cache.h"
 #include "inject/campaign.h"
 #include "inject/isolate.h"
+#include "obs/events.h"
 #include "obs/metrics.h"
 
 namespace tfsim {
@@ -70,6 +75,48 @@ void ExpectSameSurvivors(const CampaignResult& a, const CampaignResult& b,
     EXPECT_EQ(a.trials[i].valid_instrs, b.trials[i].valid_instrs) << i;
     EXPECT_EQ(a.trials[i].inflight, b.trials[i].inflight) << i;
   }
+}
+
+// A kTrialDone payload minus its wall time: trial, outcome, mode, category,
+// storage, field, field_bits, cycles.
+using TrialDonePayload =
+    std::tuple<std::int64_t, Outcome, FailureMode, StateCat, Storage,
+               std::string, std::uint64_t, std::uint32_t>;
+
+// Collects kTrialDone payloads on the journal's drain thread.
+class TrialDoneSink : public obs::EventSink {
+ public:
+  void OnEvent(const obs::Event& e) override {
+    if (e.kind != obs::EventKind::kTrialDone) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    payloads_.emplace_back(e.trial, e.outcome, e.mode, e.cat, e.storage,
+                           e.field, e.field_bits, e.cycles);
+  }
+  // Sorted by trial index; call after RunCampaign returned (it flushes).
+  std::vector<TrialDonePayload> Sorted() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<TrialDonePayload> out = payloads_;
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<TrialDonePayload> payloads_;
+};
+
+// Runs `opt` with a journal attached and returns the result plus its
+// kTrialDone payloads sorted by trial index.
+CampaignResult RunWithTrialDone(const CampaignSpec& spec, CampaignOptions opt,
+                                std::vector<TrialDonePayload>* payloads) {
+  obs::EventJournal journal;
+  TrialDoneSink sink;
+  journal.AddSink(&sink);
+  opt.obs.events = &journal;
+  CampaignResult r = RunCampaign(spec, opt);
+  journal.RemoveSink(&sink);
+  *payloads = sink.Sorted();
+  return r;
 }
 
 TEST(Watchdog, HungHookIsQuarantinedAsTimeout) {
@@ -152,13 +199,26 @@ TEST(Isolate, CleanRunMatchesInProcessByteForByte) {
   for (int jobs : {1, 4}) {
     CampaignOptions opt = QuietLive();
     opt.jobs = jobs;
+    std::vector<TrialDonePayload> in_process;
+    const CampaignResult local = RunWithTrialDone(spec, opt, &in_process);
+    ExpectSameSurvivors(local, reference);
+
     opt.isolate_trials = true;
-    const CampaignResult r = RunCampaign(spec, opt);
+    std::vector<TrialDonePayload> isolated;
+    const CampaignResult r = RunWithTrialDone(spec, opt, &isolated);
     EXPECT_FALSE(r.interrupted) << "jobs=" << jobs;
     EXPECT_FALSE(r.containment_exhausted);
     EXPECT_EQ(r.worker_restarts, 0u);
     EXPECT_TRUE(r.quarantined.empty());
     ExpectSameSurvivors(r, reference);
+
+    // Both executors report through one completion path, so the journal's
+    // per-trial payloads agree exactly, one per trial.
+    ASSERT_EQ(in_process.size(), static_cast<std::size_t>(spec.trials))
+        << "jobs=" << jobs;
+    for (std::size_t i = 0; i < in_process.size(); ++i)
+      EXPECT_EQ(std::get<0>(in_process[i]), static_cast<std::int64_t>(i));
+    EXPECT_EQ(isolated, in_process) << "jobs=" << jobs;
   }
 }
 

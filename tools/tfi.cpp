@@ -15,9 +15,6 @@
 //                  [--events-jsonl FILE] (structured campaign event journal)
 //                  [--heatmap-json FILE] [--heatmap-csv FILE] (per-field
 //                  vulnerability heatmap)
-//                  [--status-port N] (live HTTP/JSON status endpoints
-//                  /progress /metrics /heatmap /events on 127.0.0.1;
-//                  0 picks an ephemeral port, printed to stderr)
 //       resilience: [--checkpoint-every N] (0 disables; SIGINT drains
 //                   in-flight trials, flushes the checkpoint + partial
 //                   exports, and a rerun resumes from the journal)
@@ -63,7 +60,6 @@
 #include "obs/events.h"
 #include "obs/heatmap.h"
 #include "obs/metrics.h"
-#include "obs/status_server.h"
 #include "soft/harden.h"
 #include "soft/soft_inject.h"
 #include "uarch/core.h"
@@ -117,7 +113,6 @@ struct Args {
   std::string events_jsonl;
   std::string heatmap_json;
   std::string heatmap_csv;
-  std::int64_t status_port = -1;  // -1 = off, 0 = ephemeral
   bool progress = false;
   bool check = false;
   // Geometry sweep (sweep subcommand).
@@ -179,9 +174,6 @@ ArgParser MakeParser(Args& a) {
            "per-field vulnerability heatmap JSON path");
   p.AddStr("heatmap-csv", &a.heatmap_csv,
            "per-field vulnerability heatmap CSV path");
-  p.AddInt("status-port", &a.status_port,
-           "serve live /progress /metrics /heatmap /events JSON on this "
-           "127.0.0.1 port while the campaign runs; 0 = ephemeral");
   p.AddFlag("progress", &a.progress, "periodic trials/sec progress lines");
   p.AddFlag("check", &a.check,
             "run trials with the per-cycle invariant checker; violations "
@@ -456,47 +448,28 @@ int CmdCampaign(const Args& a) {
   opt.check_invariants = a.check;
   opt.fast_path = !a.no_fast_path;
 
-  // Event journal: one shared stream feeding the JSONL file sink and the
-  // HTTP status server (--progress attaches its own consumer inside the
-  // campaign). /metrics needs registry snapshots, so the status server
-  // implies a metrics registry even without --metrics-json.
-  const bool serve = a.status_port >= 0;
+  // Event journal feeding the JSONL file sink (--progress attaches its own
+  // consumer inside the campaign).
   obs::EventJournal journal;
   std::ofstream events_out;
   std::optional<obs::JsonlEventSink> events_sink;
-  obs::CampaignStatusServer status;
-  if (!a.events_jsonl.empty() || serve) {
+  if (!a.events_jsonl.empty()) {
     opt.obs.events = &journal;
-    if (!a.events_jsonl.empty()) {
-      events_out = OpenExport(a.events_jsonl);
-      events_sink.emplace(events_out);
-      journal.AddSink(&*events_sink);
-    }
-    if (serve) {
-      opt.obs.sinks.metrics = &metrics;
-      std::string err;
-      if (a.status_port > 65535 ||
-          !status.Start(static_cast<std::uint16_t>(a.status_port), journal,
-                        &err)) {
-        throw std::runtime_error("--status-port: " +
-                                 (err.empty() ? "invalid port" : err));
-      }
-      std::fprintf(stderr, "status server on http://127.0.0.1:%u\n",
-                   static_cast<unsigned>(status.port()));
-    }
+    events_out = OpenExport(a.events_jsonl);
+    events_sink.emplace(events_out);
+    journal.AddSink(&*events_sink);
   }
 
   std::signal(SIGINT, HandleSigint);
   const CampaignResult r = RunCampaign(spec, opt);
   std::signal(SIGINT, SIG_DFL);
 
-  // The campaign flushed the journal before returning; detach our sinks in
-  // the reverse order they were attached.
-  if (status.running()) status.Stop();
+  // The campaign flushed the journal before returning. Events shed by the
+  // queue never reached the file, so they are not counted as written.
   if (events_sink) {
     journal.RemoveSink(&*events_sink);
     std::fprintf(stderr, "wrote %llu events to %s\n",
-                 (unsigned long long)journal.emitted(),
+                 (unsigned long long)(journal.emitted() - journal.dropped()),
                  a.events_jsonl.c_str());
   }
 
