@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "arch/functional_sim.h"
 #include "arch/syscall.h"
 #include "isa/assemble.h"
@@ -151,6 +153,11 @@ struct ExcCase {
   const char* src;
   Exception want;
 };
+
+// gtest would otherwise print the raw bytes of the case, source pointers
+// included, so the registered test names would change with every load
+// address.
+void PrintTo(const ExcCase& c, std::ostream* os) { *os << c.name; }
 
 class ExceptionTest : public ::testing::TestWithParam<ExcCase> {};
 
