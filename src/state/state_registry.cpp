@@ -3,20 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/rng.h"
-
 namespace tfsim {
-namespace {
-
-std::uint64_t Contribution(std::size_t word_index, std::uint64_t value) {
-  return value == 0
-             ? 0
-             : Mix64((static_cast<std::uint64_t>(word_index) + 1) *
-                         0x9e3779b97f4a7c15ULL ^
-                     Mix64(value));
-}
-
-}  // namespace
 
 void WordFirstAccessTracker::Watch(std::size_t word,
                                    std::uint64_t from_cycle) {
@@ -132,14 +119,6 @@ StateField StateRegistry::Allocate(std::string name, StateCat cat,
   return h;
 }
 
-void StateRegistry::UpdateHash(std::size_t word_index, std::uint64_t before,
-                               std::uint64_t after) {
-  const std::uint64_t delta =
-      Contribution(word_index, before) ^ Contribution(word_index, after);
-  hash_ ^= delta;
-  cat_hash_[word_cat_[word_index]] ^= delta;
-}
-
 std::uint64_t StateRegistry::RecomputeHash() const {
   std::uint64_t h = 0;
   for (std::size_t w = 0; w < words_.size(); ++w)
@@ -190,10 +169,8 @@ BitLocation StateRegistry::LocateBit(std::uint64_t index,
 void StateRegistry::FlipBit(const BitLocation& loc) {
   const Field& f = fields_.at(loc.field_index);
   const std::size_t w = f.offset + loc.element;
-  const std::uint64_t before = words_[w];
-  const std::uint64_t after = before ^ (1ULL << loc.bit);
-  words_[w] = after;
-  UpdateHash(w, before, after);
+  words_[w] ^= 1ULL << loc.bit;
+  UpdateHash(w, words_[w]);
 }
 
 bool StateRegistry::ReadBit(const BitLocation& loc) const {
@@ -205,7 +182,7 @@ void StateRegistry::Restore(const std::vector<std::uint64_t>& snapshot) {
   if (snapshot.size() != words_.size())
     throw std::invalid_argument("snapshot size mismatch");
   for (std::size_t w = 0; w < words_.size(); ++w) {
-    if (words_[w] != snapshot[w]) UpdateHash(w, words_[w], snapshot[w]);
+    if (words_[w] != snapshot[w]) UpdateHash(w, snapshot[w]);
   }
   words_ = snapshot;
 }

@@ -18,7 +18,12 @@
 //   * The registry maintains an order-independent incremental content hash,
 //     updated O(1) per write. Combined with Memory::ContentHash() this gives
 //     the per-cycle whole-machine state-equality test behind the paper's
-//     "μArch Match" outcome at negligible cost.
+//     "μArch Match" outcome at negligible cost. The hash is the XOR over
+//     words of Contribution(word, value); a contribution cache parallel to
+//     the word store holds each word's current term, so a value-changing
+//     write mixes only the new value (two Mix64 calls) and XORs out the
+//     cached old term. The cache is derived data — a pure function of the
+//     words — written only by the hash upkeep and never snapshotted.
 //   * Snapshot/Restore copies the whole word store, the basis of the
 //     checkpoint-per-start-point methodology.
 #pragma once
@@ -28,6 +33,8 @@
 #include <source_location>
 #include <string>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace tfsim {
 
@@ -160,6 +167,7 @@ class StateField {
 
  private:
   friend class StateRegistry;
+  friend class FieldScan;
   StateRegistry* reg_ = nullptr;
   std::size_t offset_ = 0;  // first word index in the registry store
   std::size_t count_ = 0;
@@ -277,10 +285,9 @@ class StateRegistry {
   // same layout, keeping the incremental hashes consistent. Values must
   // already be masked (they are, if they came from WordsData()/Snapshot()).
   void OverwriteWord(std::size_t word, std::uint64_t value) {
-    const std::uint64_t before = words_[word];
-    if (before == value) return;
+    if (words_[word] == value) return;
     words_[word] = value;
-    UpdateHash(word, before, value);
+    UpdateHash(word, value);
   }
 
   // --- access tracking ------------------------------------------------------
@@ -309,17 +316,68 @@ class StateRegistry {
     std::uint64_t bits() const { return count * width; }
   };
 
-  void UpdateHash(std::size_t word_index, std::uint64_t before,
-                  std::uint64_t after);
+  // A word's term in the content hash; zero words contribute nothing, so a
+  // freshly allocated registry hashes to 0.
+  static std::uint64_t Contribution(std::size_t word_index,
+                                    std::uint64_t value) {
+    return value == 0
+               ? 0
+               : Mix64((static_cast<std::uint64_t>(word_index) + 1) *
+                           0x9e3779b97f4a7c15ULL ^
+                       Mix64(value));
+  }
+  // Swaps `word_index`'s cached term for the one of `after` (the word's new
+  // value) in the whole-registry and per-category hashes.
+  void UpdateHash(std::size_t word_index, std::uint64_t after) {
+    if (word_index >= contrib_.size()) [[unlikely]]
+      contrib_.resize(words_.size(), 0);
+    const std::uint64_t c = Contribution(word_index, after);
+    const std::uint64_t delta = contrib_[word_index] ^ c;
+    contrib_[word_index] = c;
+    hash_ ^= delta;
+    cat_hash_[word_cat_[word_index]] ^= delta;
+  }
 
   std::vector<std::uint64_t> words_;
   std::vector<Field> fields_;
   // Category of each word, parallel to words_ (for the per-category hash).
   std::vector<std::uint8_t> word_cat_;
+  // Contribution(w, words_[w]), parallel to words_ but sized on the first
+  // write after an Allocate: words past its end were never written, so they
+  // are zero and contribute zero. A core allocates every field before its
+  // first write, so its cache is one allocation instead of a second copy of
+  // words_' growth steps, whose freed buffers the allocator would retain.
+  std::vector<std::uint64_t> contrib_;
   std::uint64_t hash_ = 0;
   CatHashArray cat_hash_{};
   WordFirstAccessTracker* tracker_ = nullptr;
 };
+
+// Read-only view of one field for whole-field scans (the scheduler's
+// broadcast and select loops). It resolves the field's first word in the
+// registry's flat store and the registry's access tracker once, so each
+// element read is one load plus a register test, where Get() re-derives the
+// registry, its store and its tracker on every call. v[i] reports to the
+// tracker exactly as Get(i) does. Construct it per scan: it is valid until
+// the registry allocates again or the tracker is swapped.
+class FieldScan {
+ public:
+  explicit FieldScan(const StateField& f);
+  std::uint64_t operator[](std::size_t i) const {
+    if (tracker_ != nullptr) tracker_->OnAccess(offset_ + i, false);
+    return words_[i];
+  }
+
+ private:
+  const std::uint64_t* words_;
+  std::size_t offset_;
+  WordFirstAccessTracker* tracker_;
+};
+
+inline FieldScan::FieldScan(const StateField& f)
+    : words_(f.reg_->WordsData() + f.offset_),
+      offset_(f.offset_),
+      tracker_(f.reg_->access_tracker()) {}
 
 inline std::uint64_t StateField::Get(std::size_t i) const {
   const std::size_t w = offset_ + i;
@@ -332,11 +390,10 @@ inline void StateField::Set(std::size_t i, std::uint64_t value) {
   // Report before the no-change short-circuit: a value-preserving write in
   // the golden run still counts as an overwrite for fault convergence.
   if (reg_->tracker_ != nullptr) reg_->tracker_->OnAccess(w, true);
-  const std::uint64_t before = reg_->words_[w];
   const std::uint64_t after = value & mask_;
-  if (before == after) return;
+  if (reg_->words_[w] == after) return;
   reg_->words_[w] = after;
-  reg_->UpdateHash(w, before, after);
+  reg_->UpdateHash(w, after);
 }
 
 }  // namespace tfsim

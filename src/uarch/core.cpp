@@ -76,6 +76,7 @@ Core::Core(const CoreConfig& cfg, const Program& program)
   fetch_.SetFetchPc(program.entry);
   arch_next_pc_.Set(0, PcStore(program.entry));
   rob_seq_.resize(static_cast<std::size_t>(cfg.rob_entries), 0);
+  select_ready_.resize(sched_.entries());
   if (cfg_.check_invariants)
     checker_ = std::make_unique<check::InvariantChecker>();
 }
@@ -1005,20 +1006,16 @@ void Core::SelectStage() {
   }
 
   // Collect ready entries, oldest first, and bind them to free ports.
-  struct Ready {
-    std::uint64_t age;
-    std::size_t entry;
-    PortClass pclass;
-  };
-  std::vector<Ready> ready;
-  ready.reserve(8);
-  for (std::size_t i = 0; i < sched_.entries(); ++i) {
-    if (!sched_.ReadyToIssue(i)) continue;
+  SelectCandidate* const ready = select_ready_.data();
+  std::size_t n_ready = 0;
+  sched_.ForEachReady([&](std::size_t i) {
     const DecodedInst d = UnpackCtrl(sched_.ctrl.Get(i));
-    ready.push_back({rob_.AgeOf(sched_.robtag.Get(i)), i, PortFor(d.cls)});
-  }
-  std::sort(ready.begin(), ready.end(),
-            [](const Ready& x, const Ready& y) { return x.age < y.age; });
+    ready[n_ready++] = {rob_.AgeOf(sched_.robtag.Get(i)), i, PortFor(d.cls)};
+  });
+  std::sort(ready, ready + n_ready,
+            [](const SelectCandidate& x, const SelectCandidate& y) {
+              return x.age < y.age;
+            });
 
   auto port_free = [&](int p) {
     return !issue_lat_.valid.GetBit(static_cast<std::size_t>(p));
@@ -1061,7 +1058,8 @@ void Core::SelectStage() {
 
   int simple_used = 0, agu_used = 0;
   bool complex_used = false, branch_used = false;
-  for (const Ready& r : ready) {
+  for (std::size_t k = 0; k < n_ready; ++k) {
+    const SelectCandidate& r = ready[k];
     switch (r.pclass) {
       case PortClass::kSimple:
         if (simple_used == 0 && port_free(kPortSimple0)) {
@@ -1227,10 +1225,9 @@ void Core::DispatchStage() {
 }
 
 bool Core::WbBankHolds(std::uint64_t preg) const {
+  const FieldScan v(wb_.valid), hd(wb_.has_dst), dp(wb_.dstp);
   for (std::size_t i = 0; i < wb_.slots; ++i)
-    if (wb_.valid.GetBit(i) && wb_.has_dst.GetBit(i) &&
-        wb_.dstp.Get(i) == preg)
-      return true;
+    if (v[i] != 0 && hd[i] != 0 && dp[i] == preg) return true;
   return false;
 }
 

@@ -272,6 +272,16 @@ class Core {
   std::uint64_t itlb_addr_ = 0;
   std::uint64_t retired_total_ = 0;
 
+  // Select-stage scratch: the cycle's ready scheduler entries with their
+  // ROB age and port class, one slot per scheduler entry. Rebuilt from
+  // registered state at the top of every SelectStage; nothing survives it.
+  struct SelectCandidate {
+    std::uint64_t age;
+    std::size_t entry;
+    PortClass pclass;
+  };
+  std::vector<SelectCandidate> select_ready_;
+
   // Instrumentation (never read by pipeline logic).
   std::unique_ptr<check::InvariantChecker> checker_;
   CoreStats stats_;

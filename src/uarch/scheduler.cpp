@@ -47,10 +47,11 @@ Scheduler::Scheduler(StateRegistry& reg, const CoreConfig& cfg)
 }
 
 std::optional<std::size_t> Scheduler::FreeEntry() const {
+  const FieldScan v(valid);
   const std::uint64_t start = alloc_ptr.Get(0) % entries_;
   for (std::size_t k = 0; k < entries_; ++k) {
     const std::size_t i = (start + k) % entries_;
-    if (!valid.GetBit(i)) return i;
+    if (v[i] == 0) return i;
   }
   return std::nullopt;
 }
@@ -67,46 +68,43 @@ int Scheduler::Occupancy() const {
 }
 
 void Scheduler::Wakeup(std::uint64_t preg) {
+  const FieldScan v(valid), s1(src1p), s2(src2p);
   for (std::size_t i = 0; i < entries_; ++i) {
-    if (!valid.GetBit(i)) continue;
-    if (src1p.Get(i) == preg) src1_rdy.Set(i, 1);
-    if (src2p.Get(i) == preg) src2_rdy.Set(i, 1);
+    if (v[i] == 0) continue;
+    if (s1[i] == preg) src1_rdy.Set(i, 1);
+    if (s2[i] == preg) src2_rdy.Set(i, 1);
   }
 }
 
 void Scheduler::KillWakeup(std::uint64_t preg, std::uint64_t loader_entry) {
+  const FieldScan v(valid), c(ctrl), s1(src1p), s2(src2p), st(state);
   for (std::size_t i = 0; i < entries_; ++i) {
-    if (!valid.GetBit(i) || i == loader_entry) continue;
+    if (v[i] == 0 || i == loader_entry) continue;
     // Only real dependents match: an unused source slot holds a dummy
     // pointer, and clearing readiness on a dummy alias would revert an
     // entry whose execution may already be in flight past the poisonable
     // latches — it would then issue and complete twice, double-freeing its
     // scheduler slot onto the slot's next tenant.
-    const DecodedInst d = UnpackCtrl(ctrl.Get(i));
+    const DecodedInst d = UnpackCtrl(c[i]);
     bool hit = false;
-    if (OpHasSrc1(d.op) && src1p.Get(i) == preg) {
+    if (OpHasSrc1(d.op) && s1[i] == preg) {
       src1_rdy.Set(i, 0);
       hit = true;
     }
-    if (OpHasSrc2(d.op) && src2p.Get(i) == preg) {
+    if (OpHasSrc2(d.op) && s2[i] == preg) {
       src2_rdy.Set(i, 0);
       hit = true;
     }
-    if (hit && state.Get(i) == kIssued) state.Set(i, kWaiting);  // replay
+    if (hit && st[i] == kIssued) state.Set(i, kWaiting);  // replay
   }
 }
 
 void Scheduler::StoreExecuted(std::uint64_t rob_tag) {
+  const FieldScan v(valid), ws(wait_store), wt(wait_tag);
   for (std::size_t i = 0; i < entries_; ++i) {
-    if (!valid.GetBit(i)) continue;
-    if (wait_store.GetBit(i) && wait_tag.Get(i) == rob_tag)
-      wait_store.Set(i, 0);
+    if (v[i] == 0) continue;
+    if (ws[i] != 0 && wt[i] == rob_tag) wait_store.Set(i, 0);
   }
-}
-
-bool Scheduler::ReadyToIssue(std::size_t i) const {
-  return valid.GetBit(i) && state.Get(i) == kWaiting && src1_rdy.GetBit(i) &&
-         src2_rdy.GetBit(i) && !wait_store.GetBit(i);
 }
 
 void Scheduler::Clear() {

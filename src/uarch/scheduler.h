@@ -50,7 +50,18 @@ class Scheduler {
   static constexpr std::uint64_t kWaiting = 0;
   static constexpr std::uint64_t kIssued = 1;
 
-  bool ReadyToIssue(std::size_t i) const;
+  // Calls fn(i) for each entry ready to issue (valid, waiting, both sources
+  // ready, no pending store-set dependence), in index order.
+  template <class Fn>
+  void ForEachReady(Fn&& fn) const {
+    const FieldScan v(valid), st(state), r1(src1_rdy), r2(src2_rdy),
+        ws(wait_store);
+    for (std::size_t i = 0; i < entries_; ++i) {
+      if (v[i] != 0 && st[i] == kWaiting && r1[i] != 0 && r2[i] != 0 &&
+          ws[i] == 0)
+        fn(i);
+    }
+  }
 
   // --- payload fields (all RAM-class, injectable) ----------------------------
   StateField valid;        // 1 (valid)

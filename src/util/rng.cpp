@@ -9,20 +9,6 @@ std::uint64_t Rotl(std::uint64_t x, int k) {
 
 }  // namespace
 
-std::uint64_t SplitMix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ULL;
-  return Mix64(state);
-}
-
-std::uint64_t Mix64(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = SplitMix64(sm);

@@ -10,12 +10,23 @@
 
 namespace tfsim {
 
-// splitmix64 step; used for seeding and as a cheap stateless mixer.
-std::uint64_t SplitMix64(std::uint64_t& state);
-
 // Stateless 64-bit finalizer/mixer (the splitmix64 output function).
-// Useful for hashing small tuples deterministically.
-std::uint64_t Mix64(std::uint64_t x);
+// Useful for hashing small tuples deterministically. Inline: the state
+// registry's hash upkeep calls it on every value-changing write.
+inline std::uint64_t Mix64(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  return x;
+}
+
+// splitmix64 step; used for seeding and as a cheap stateless mixer.
+inline std::uint64_t SplitMix64(std::uint64_t& state) {
+  state += 0x9e3779b97f4a7c15ULL;
+  return Mix64(state);
+}
 
 // xoshiro256** generator. Copyable; copies advance independently.
 class Rng {

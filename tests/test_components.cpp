@@ -2,6 +2,8 @@
 // rename, LSQ, ROB, scheduler.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "arch/memory.h"
 #include "state/state_registry.h"
 #include "uarch/bpred.h"
@@ -342,6 +344,12 @@ TEST(Rob, WrapAroundAgeOrder) {
 
 // --- scheduler ------------------------------------------------------------------
 
+std::vector<std::size_t> ReadyEntries(const Scheduler& s) {
+  std::vector<std::size_t> out;
+  s.ForEachReady([&](std::size_t i) { out.push_back(i); });
+  return out;
+}
+
 TEST(Scheduler, RoundRobinAllocation) {
   StateRegistry reg;
   Scheduler s(reg, Cfg());
@@ -362,9 +370,9 @@ TEST(Scheduler, WakeupSetsMatchingSources) {
   s.src1p.Set(0, 40);
   s.src2p.Set(0, 41);
   s.src2_rdy.Set(0, 1);
-  EXPECT_FALSE(s.ReadyToIssue(0));
+  EXPECT_TRUE(ReadyEntries(s).empty());
   s.Wakeup(40);
-  EXPECT_TRUE(s.ReadyToIssue(0));
+  EXPECT_EQ(ReadyEntries(s), std::vector<std::size_t>{0});
 }
 
 TEST(Scheduler, KillWakeupRevertsIssuedConsumers) {
@@ -389,9 +397,9 @@ TEST(Scheduler, WaitStoreGatesIssue) {
   s.src2_rdy.Set(1, 1);
   s.wait_store.Set(1, 1);
   s.wait_tag.Set(1, 9);
-  EXPECT_FALSE(s.ReadyToIssue(1));
+  EXPECT_TRUE(ReadyEntries(s).empty());
   s.StoreExecuted(9);
-  EXPECT_TRUE(s.ReadyToIssue(1));
+  EXPECT_EQ(ReadyEntries(s), std::vector<std::size_t>{1});
 }
 
 TEST(Scheduler, FullWhenAllValid) {

@@ -238,10 +238,13 @@ TEST(TrialFastPath, RecordsAndTracesByteIdenticalToSlowPath) {
     }
   }
   // The population must actually exercise the shortcut's verdicts, or this
-  // test proves nothing.
-  EXPECT_GT(shortcut, 0);
-  EXPECT_GT(match_late, 0);
-  EXPECT_GT(gray_latent, 0);
+  // test proves nothing. The exact counts are pinned: a pipeline read or
+  // write the first-access tracker gains or loses moves trials between the
+  // shortcut and simulation without changing any record, so only these
+  // counts catch it.
+  EXPECT_EQ(shortcut, 91);
+  EXPECT_EQ(match_late, 55);
+  EXPECT_EQ(gray_latent, 28);
 }
 
 // The cutoff may only fire at *full* re-convergence. A shortcut Match at

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "state/state_registry.h"
 #include "util/rng.h"
 
@@ -28,19 +30,66 @@ TEST(StateRegistry, RejectsBadWidths) {
                std::invalid_argument);
 }
 
+// Every write path (Set, FlipBit, OverwriteWord, Restore) keeps the
+// incremental hashes equal to a from-scratch recomputation. The final Hash()
+// is pinned: campaign results, cache entries and fast-path verdicts all
+// compare these hashes, so a changed contribution function must fail here.
 TEST(StateRegistry, IncrementalHashMatchesRecompute) {
   StateRegistry reg;
   StateField a = reg.Allocate("a", StateCat::kCtrl, Storage::kLatch, 16, 13);
   StateField b = reg.Allocate("b", StateCat::kData, Storage::kRam, 8, 64);
+  StateField c = reg.Allocate("c", StateCat::kPc, Storage::kBackground, 4, 62);
+  const std::uint64_t bits = reg.InjectableBits(/*include_ram=*/true);
+  std::vector<std::uint64_t> snap = reg.Snapshot();
   Rng rng(1);
   for (int i = 0; i < 5000; ++i) {
     a.Set(rng.NextBelow(16), rng.Next());
     b.Set(rng.NextBelow(8), rng.Next());
+    c.Set(rng.NextBelow(4), rng.NextBelow(3) == 0 ? 0 : rng.Next());
+    switch (rng.NextBelow(4)) {
+      case 0:
+        reg.FlipBit(reg.LocateBit(rng.NextBelow(bits), true));
+        break;
+      case 1: {
+        const std::size_t w = rng.NextBelow(reg.WordCount());
+        reg.OverwriteWord(w, snap[w]);
+        break;
+      }
+      case 2:
+        if (rng.NextBelow(8) == 0) reg.Restore(snap);
+        break;
+      default:
+        if (rng.NextBelow(8) == 0) snap = reg.Snapshot();
+        break;
+    }
     if (i % 500 == 0) {
       EXPECT_EQ(reg.Hash(), reg.RecomputeHash());
+      EXPECT_EQ(reg.CatHashes(), reg.RecomputeCatHashes());
     }
   }
   EXPECT_EQ(reg.Hash(), reg.RecomputeHash());
+  EXPECT_EQ(reg.CatHashes(), reg.RecomputeCatHashes());
+  EXPECT_EQ(reg.Hash(), 0x85464d64a1116afaULL);
+}
+
+// Fields allocated after earlier fields were written (the contribution cache
+// then covers only part of the store) still hash consistently.
+TEST(StateRegistry, AllocateAfterWritesKeepsHashConsistent) {
+  StateRegistry reg;
+  StateField a = reg.Allocate("a", StateCat::kCtrl, Storage::kLatch, 4, 13);
+  a.Set(1, 0x123);
+  StateField b = reg.Allocate("b", StateCat::kData, Storage::kRam, 4, 64);
+  b.Set(3, ~0ULL);
+  a.Set(2, 0x45);
+  StateField c = reg.Allocate("c", StateCat::kPc, Storage::kLatch, 2, 62);
+  const std::vector<std::uint64_t> snap = reg.Snapshot();
+  c.Set(0, 77);
+  a.Set(1, 0);
+  EXPECT_EQ(reg.Hash(), reg.RecomputeHash());
+  EXPECT_EQ(reg.CatHashes(), reg.RecomputeCatHashes());
+  reg.Restore(snap);
+  EXPECT_EQ(reg.Hash(), reg.RecomputeHash());
+  EXPECT_EQ(reg.CatHashes(), reg.RecomputeCatHashes());
 }
 
 TEST(StateRegistry, HashReturnsAfterUndo) {
