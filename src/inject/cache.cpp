@@ -18,7 +18,6 @@
 namespace tfsim {
 namespace {
 
-constexpr const char* kMagicV1 = "tfi-cache v1";
 constexpr const char* kMagicV2 = "tfi-cache v2";
 constexpr const char* kCkptMagic = "tfi-ckpt v1";
 
@@ -60,9 +59,7 @@ std::string SerializeResultPayload(const CampaignResult& r) {
   return os.str();
 }
 
-// Parses a v1/v2 body from `in` into `r` (spec already set). Shared between
-// the legacy reader and the checksummed v2 reader: the field layout never
-// changed, only the envelope and the double precision did.
+// Parses a cache payload from `in` into `r` (spec already set).
 bool ParseResultPayload(std::istream& in, CampaignResult& r) {
   std::size_t n = 0;
   in >> n;
@@ -181,12 +178,6 @@ std::optional<CampaignResult> LoadCachedCampaign(const CampaignSpec& spec) {
     if (!payload) return std::nullopt;
     std::istringstream body(*payload);
     if (!ParseResultPayload(body, r)) return std::nullopt;
-    return r;
-  }
-  if (magic == kMagicV1) {
-    // Legacy uprotected format: no checksum, stream-default double
-    // precision. Still readable so existing caches keep their value.
-    if (!ParseResultPayload(in, r)) return std::nullopt;
     return r;
   }
   return std::nullopt;

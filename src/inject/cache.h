@@ -9,8 +9,8 @@
 // Cache files are "tfi-cache v2": a CRC32-checksummed payload written via
 // temp-file + atomic rename, with every floating-point field serialized at
 // max_digits10 so cache hits reproduce golden stats bit-exactly. Files whose
-// checksum, length or structure do not verify are treated as absent (the
-// campaign re-runs cleanly). Legacy "tfi-cache v1" files are still readable.
+// magic line, checksum, length or structure do not verify are treated as
+// absent (the campaign re-runs cleanly).
 //
 // Checkpoint journals ("<key>.ckpt", same checksummed-atomic envelope) hold
 // the contiguous completed-trial prefix of an in-flight campaign, flushed

@@ -1,30 +1,25 @@
 #include "inject/campaign.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <exception>
+#include <iostream>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "check/invariants.h"
 #include "inject/cache.h"
 #include "inject/isolate.h"
 #include "inject/trial.h"
-#include "obs/chrome_trace.h"
-#include <iostream>
-
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "util/argparse.h"
-#include "util/env.h"
-#include "util/rng.h"
 #include "soft/harden.h"
+#include "util/argparse.h"
+#include "util/rng.h"
 #include "workloads/workloads.h"
 
 namespace tfsim {
@@ -134,45 +129,80 @@ Proportion CampaignResult::FailureRate() const {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+// One campaign in flight, shared by the four stages below: its identity,
+// execution flags and event stream. The stream is the caller's journal, or
+// a private one when only --progress or a chrome trace consumes it; with
+// neither, an event costs one pointer test. The journal is pure telemetry:
+// records, classification counts and cache keys are byte-identical with it
+// on or off (tests/test_telemetry.cpp). The destructor detaches the
+// per-campaign sinks on every exit path, since the caller's journal
+// outlives the campaign (RemoveSink waits out in-flight deliveries).
+struct CampaignRun {
+  CampaignRun(const CampaignSpec& s, const CampaignOptions& o)
+      : spec(s), opt(o), key(s.CacheKey()),
+        checked(o.check_invariants || s.core.check_invariants),
+        tracing(o.obs.collect_prop_traces), metrics(o.obs.sinks.metrics),
+        journal(o.obs.events) {
+    if (!journal && (o.obs.progress || o.obs.sinks.chrome))
+      journal = &local_journal.emplace();
+    if (!journal) return;
+    dropped_before = journal->dropped();
+    if (o.obs.progress)
+      journal->AddSink(&progress.emplace(key, s.trials, std::cerr));
+    if (o.obs.sinks.chrome)
+      journal->AddSink(&chrome_lane.emplace(*o.obs.sinks.chrome));
+  }
+  ~CampaignRun() {
+    if (progress) journal->RemoveSink(&*progress);
+    if (chrome_lane) journal->RemoveSink(&*chrome_lane);
+  }
+  CampaignRun(const CampaignRun&) = delete;
+  CampaignRun& operator=(const CampaignRun&) = delete;
 
-std::uint64_t ElapsedUs(Clock::time_point since, Clock::time_point t) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(t - since)
-          .count());
-}
+  void Emit(obs::Event e) const {
+    if (journal) journal->Emit(std::move(e));
+  }
+  void Emit(obs::EventKind kind, std::uint64_t value = 0,
+            std::int64_t trial = -1, std::string detail = {}) const {
+    Emit({.kind = kind, .trial = trial, .value = value,
+          .detail = std::move(detail)});
+  }
 
-// Removes the per-campaign progress sink on every exit path (the caller's
-// journal outlives this campaign; a sink left registered would dangle).
-// RemoveSink waits out in-flight deliveries, so the sink may be destroyed
-// as soon as the guard has run.
-struct ProgressSinkGuard {
+  // The finish event, then a drain so the journal (with the --progress
+  // summary and the chrome lane) is complete when RunCampaign returns, also
+  // on interruption. The event carries the number of events the (shared,
+  // possibly pre-used) journal shed to backpressure during THIS campaign.
+  void Finish(std::uint64_t kept, bool interrupted) const {
+    if (!journal) return;
+    const std::uint64_t dropped = journal->dropped() - dropped_before;
+    if (metrics && dropped)
+      metrics->GetCounter("campaign.events.dropped").Inc(dropped);
+    journal->Emit({.kind = obs::EventKind::kCampaignFinish, .value = kept,
+                   .interrupted = interrupted, .dropped = dropped});
+    journal->Flush();
+  }
+
+  const CampaignSpec& spec;
+  const CampaignOptions& opt;
+  const std::string key;
+  // Checked campaigns run every trial core with the per-cycle invariant
+  // checker and quarantine structural violations. The CacheKey does not
+  // hash execution options, so checked runs bypass the cache and the
+  // checkpoint journal in both directions.
+  const bool checked;
+  const bool tracing;
+  obs::MetricsRegistry* const metrics;
+  std::optional<obs::EventJournal> local_journal;
   obs::EventJournal* journal;
-  obs::EventSink* sink;
-  ProgressSinkGuard(obs::EventJournal* j, obs::EventSink* s)
-      : journal(j), sink(s) {
-    if (journal && sink) journal->AddSink(sink);
-  }
-  ~ProgressSinkGuard() {
-    if (journal && sink) journal->RemoveSink(sink);
-  }
-  ProgressSinkGuard(const ProgressSinkGuard&) = delete;
-  ProgressSinkGuard& operator=(const ProgressSinkGuard&) = delete;
-};
-
-// Wall-clock span of one trial, for the chrome campaign lane. Filled by the
-// executing worker; read only after the pool joins.
-struct TrialTiming {
-  std::uint64_t ts_us = 0;
-  std::uint64_t dur_us = 0;
-  int worker = 0;
+  std::optional<obs::ProgressSink> progress;
+  std::optional<obs::ChromeLaneSink> chrome_lane;
+  std::uint64_t dropped_before = 0;
 };
 
 // Replays a campaign's per-trial counters and histograms into `m`, in trial
-// order. Used both by live runs after the pool joins (so counter totals and
-// Welford histogram summaries are byte-identical at every `jobs` value) and
-// by cache hits (so a metrics-attached run that loads cached results still
-// reports the same campaign.* totals as the live run that produced them).
+// order, after the executor returns (so totals and Welford summaries are
+// byte-identical at every `jobs` value) and on cache hits (so a run served
+// from the cache reports the campaign.* totals of the run that stored it).
 void EmitTrialMetrics(const std::vector<TrialRecord>& trials,
                       obs::MetricsRegistry& m) {
   obs::Counter& total = m.GetCounter("campaign.trials");
@@ -185,6 +215,342 @@ void EmitTrialMetrics(const std::vector<TrialRecord>& trials,
     if (rec.outcome == Outcome::kTrialError) quarantined.Inc();
     cycles.Add(rec.cycles);
   }
+}
+
+// Runs collecting per-trial artifacts (propagation traces, chrome spans)
+// record live execution, which is never cached, so they always execute.
+std::optional<CampaignResult> LoadFromCache(const CampaignRun& c) {
+  if (!c.opt.use_cache || c.tracing || c.opt.obs.sinks.chrome || c.checked)
+    return std::nullopt;
+  std::optional<CampaignResult> cached = LoadCachedCampaign(c.spec);
+  if (!cached) return std::nullopt;
+  if (c.metrics) {
+    c.metrics->GetCounter("campaign.cache.hits").Inc();
+    EmitTrialMetrics(cached->trials, *c.metrics);
+  }
+  c.Emit(obs::EventKind::kCacheHit, cached->trials.size());
+  if (c.opt.verbose)
+    std::fprintf(stderr, "[campaign %s] loaded %zu trials from cache\n",
+                 c.key.c_str(), cached->trials.size());
+  return cached;
+}
+
+// Stage 1, plan: the program, a probe replica (its registry layout is every
+// trial core's), the inventory, the trial specs and the fast-path capture
+// plan. Trial cores may carry the invariant checker; the golden run never
+// does (it defines reference behaviour).
+struct Plan {
+  Program program;
+  std::unique_ptr<Core> probe;
+  std::vector<TrialSpec> specs;
+  // Checked campaigns take the slow path: violation cycles are
+  // checkpoint-relative, and the pre-injection advance must run under the
+  // checker too. Otherwise both paths are byte-identical.
+  bool fast = false;
+  FastPathPlan capture;
+};
+
+Plan PlanCampaign(const CampaignRun& c, CampaignResult& result) {
+  Plan p;
+  p.program = ResolveCampaignProgram(c.spec.workload);
+  CoreConfig trial_cfg = c.spec.core;
+  trial_cfg.check_invariants = c.checked;
+  p.probe = std::make_unique<Core>(trial_cfg, p.program);
+  const StateRegistry& reg = p.probe->registry();
+  for (int cat = 0; cat < kNumStateCats; ++cat)
+    result.inventory[cat] = reg.Inventory(static_cast<StateCat>(cat));
+  p.specs = MakeTrialSpecs(c.spec, reg.InjectableBits(c.spec.include_ram));
+  p.fast = c.opt.fast_path && !c.checked;
+  if (p.fast) p.capture = PlanFastPath(c.spec.golden, p.specs, reg);
+  return p;
+}
+
+// Stage 2, golden: record the reference run, copy its statistics into the
+// result.
+std::shared_ptr<const GoldenRun> RecordCampaignGolden(const CampaignRun& c,
+                                                      const Plan& p,
+                                                      CampaignResult& result) {
+  if (c.opt.verbose)
+    std::fprintf(stderr, "[campaign %s] recording golden run...\n",
+                 c.key.c_str());
+  std::shared_ptr<const GoldenRun> golden;
+  {
+    std::optional<obs::ScopedTimer> timed;
+    if (c.metrics) timed.emplace(c.metrics->GetTimer("campaign.golden_record"));
+    golden = RecordGolden(c.spec.core, p.program, c.spec.golden,
+                          &c.opt.obs.sinks, p.fast ? &p.capture : nullptr);
+  }
+  c.Emit(obs::EventKind::kGoldenDone, golden->checkpoints.size());
+  const CoreStats& st = golden->stats;
+  result.golden_ipc = st.Ipc();
+  result.golden_bp_accuracy =
+      st.branches ? 1.0 - static_cast<double>(st.mispredicts) /
+                              static_cast<double>(st.branches)
+                  : 0.0;
+  result.golden_dcache_misses = st.dcache_misses;
+  return golden;
+}
+
+// Per-index trial slots and the checkpoint journal over their contiguous
+// completed prefix. A slot is written once, by its trial's completion; the
+// release store of its flag pairs with the acquire scan of the prefix, so
+// the prefix's slots can be read while other trials still run. Traced runs
+// never journal: the journal holds records only, and a resumed prefix
+// without its traces would break trace/record parallelism.
+class TrialSlots {
+ public:
+  TrialSlots(const CampaignRun& c, std::size_t n)
+      : c_(c),
+        slots_(n),
+        done_(std::make_unique<std::atomic<bool>[]>(n)),
+        every_(c.tracing || c.checked || c.opt.checkpoint_every <= 0
+                   ? 0
+                   : static_cast<std::uint64_t>(c.opt.checkpoint_every)) {}
+
+  std::vector<CompletedTrial>& slots() { return slots_; }
+  bool journaling() const { return every_ != 0; }
+
+  // Restores the prefix an interrupted run of this CacheKey journaled;
+  // returns its length.
+  std::size_t Resume() {
+    std::optional<std::vector<TrialRecord>> ckpt;
+    if (every_) ckpt = LoadCampaignCheckpoint(c_.spec);
+    if (!ckpt || ckpt->empty()) return 0;
+    const std::size_t resumed = std::min(ckpt->size(), slots_.size());
+    for (std::size_t i = 0; i < resumed; ++i) {
+      slots_[i].record = (*ckpt)[i];
+      done_[i].store(true, std::memory_order_relaxed);
+    }
+    prefix_ = flushed_ = resumed;
+    count_.store(resumed, std::memory_order_relaxed);
+    if (c_.metrics)
+      c_.metrics->GetCounter("campaign.checkpoint.resumed_trials").Inc(resumed);
+    if (c_.opt.verbose)
+      std::fprintf(stderr,
+                   "[campaign %s] resumed %zu/%zu trials from checkpoint\n",
+                   c_.key.c_str(), resumed, slots_.size());
+    return resumed;
+  }
+
+  // Budget holes never ran: keeping them out of the completed prefix keeps
+  // them out of the journal, so a re-run executes them for real.
+  void Complete(CompletedTrial&& t) {
+    const std::size_t i = t.index;
+    const bool ran = t.quarantine != QuarantineReason::kBudget;
+    slots_[i] = std::move(t);
+    if (ran) done_[i].store(true, std::memory_order_release);
+    const std::uint64_t d = count_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (every_ && d % every_ == 0) Flush();
+  }
+
+  std::size_t Prefix() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return AdvanceLocked();
+  }
+
+  // Writes the prefix when it has grown past what is on disk. The store
+  // retries with backoff; a flush that still fails (disk full, permissions)
+  // disables checkpointing for the rest of the run with one warning and one
+  // kCheckpointDisabled event. The campaign goes on; only resumability of
+  // THIS run is lost.
+  void Flush() {
+    if (!every_) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (disabled_ || AdvanceLocked() == flushed_) return;
+    std::vector<TrialRecord> prefix;
+    prefix.reserve(prefix_);
+    for (std::size_t i = 0; i < prefix_; ++i)
+      prefix.push_back(slots_[i].record);
+    if (!StoreCampaignCheckpoint(c_.spec, prefix, c_.metrics)) {
+      disabled_ = true;
+      std::fprintf(stderr,
+                   "[campaign %s] checkpoint flush failed; checkpointing "
+                   "disabled for the rest of this run\n",
+                   c_.key.c_str());
+      c_.Emit(obs::EventKind::kCheckpointDisabled, 0, -1,
+              "checkpoint flush failed; checkpointing disabled");
+      return;
+    }
+    flushed_ = prefix_;
+    c_.Emit(obs::EventKind::kCheckpointFlush, flushed_);
+  }
+
+  // A completed result subsumes the journal; dropping it lets the next run
+  // of this CacheKey start clean (or hit the cache).
+  void Retire() {
+    if (every_) RemoveCampaignCheckpoint(c_.spec);
+  }
+
+ private:
+  std::size_t AdvanceLocked() {
+    while (prefix_ < slots_.size() &&
+           done_[prefix_].load(std::memory_order_acquire))
+      ++prefix_;
+    return prefix_;
+  }
+
+  const CampaignRun& c_;
+  std::vector<CompletedTrial> slots_;
+  std::unique_ptr<std::atomic<bool>[]> done_;
+  const std::uint64_t every_;
+  std::atomic<std::uint64_t> count_{0};  // completions, resumed ones included
+  std::mutex mu_;
+  std::size_t prefix_ = 0;  // guarded by mu_, as are the two below
+  std::size_t flushed_ = 0;
+  bool disabled_ = false;
+};
+
+// Journal events for one completed trial: its quarantine, if any, then
+// kTrialDone. The site is resolved against the probe replica, so the
+// payload is the same under both executors; its category and storage come
+// from the site, not the record, whose quarantine stand-in has defaults.
+void EmitCompletion(const CampaignRun& c, const Plan& p,
+                    const GoldenSpec& golden, const CompletedTrial& t) {
+  using Kind = obs::EventKind;
+  const auto trial = static_cast<std::int64_t>(t.index);
+  if (t.quarantine == QuarantineReason::kCrash)
+    c.Emit(Kind::kTrialCrash, t.status, trial, t.error);
+  else if (t.quarantine == QuarantineReason::kTimeout)
+    c.Emit(Kind::kTrialTimeout,
+           static_cast<std::uint64_t>(c.opt.trial_timeout_ms), trial, t.error);
+  else if (t.quarantine)
+    c.Emit(Kind::kTrialQuarantine, 0, trial, t.error);
+  const StateRegistry& reg = p.probe->registry();
+  const BitLocation loc =
+      ResolveInjectionSite(golden, p.specs[t.index], reg).primary;
+  obs::Event ev{.kind = Kind::kTrialDone, .trial = trial,
+                .outcome = t.record.outcome, .mode = t.record.mode,
+                .cat = loc.cat, .storage = loc.storage,
+                .cycles = t.record.cycles, .dur_us = t.dur_us,
+                .worker = t.worker, .field = loc.name,
+                .field_bits = reg.FieldInfoAt(loc.field_index).bits()};
+  if (c.tracing) {  // propagation latencies (-1 = silent)
+    ev.arch_divergence_cycle = t.trace.arch_divergence_cycle;
+    ev.first_spread_cycle = t.trace.first_spread_cycle;
+  }
+  c.Emit(std::move(ev));
+}
+
+// Crash containment runs trials in forked workers (inject/isolate.h).
+// Traced and checked runs need the trial core in this process, so they fall
+// back to in-process execution.
+bool UseIsolation(const CampaignRun& c) {
+  if (!c.opt.isolate_trials) return false;
+  const char* why = c.tracing || c.checked
+                        ? "--isolate-trials is incompatible with propagation "
+                          "tracing and checked runs"
+                    : !IsolationSupported()
+                        ? "trial isolation is not supported on this platform"
+                        : nullptr;
+  if (why)
+    std::fprintf(stderr, "[campaign %s] %s; executing in-process\n",
+                 c.key.c_str(), why);
+  return why == nullptr;
+}
+
+// Stage 3, execute: resume from the checkpoint journal, run the remaining
+// trials on one executor, and hand every completion to the journal and the
+// slots. Returns how many trials the result keeps: all, or after
+// cancellation the contiguous completed prefix.
+std::size_t Execute(const CampaignRun& c, const Plan& p,
+                    const std::shared_ptr<const GoldenRun>& golden,
+                    TrialSlots& slots, CampaignResult& result) {
+  const std::size_t resumed = slots.Resume();
+  TrialExecOptions exec;
+  exec.jobs = ResolveJobs(c.opt.jobs);
+  exec.policy.fast_path = p.fast;
+  exec.policy.retries = c.opt.retries;
+  exec.policy.check_invariants = c.checked;
+  exec.policy.timeout_ms = c.opt.trial_timeout_ms;
+  exec.want_trace = c.tracing;
+  exec.cancel = c.opt.cancel;
+  exec.hooks.before_attempt = c.opt.trial_fault_hook;
+  exec.hooks.on_retry = [&c](std::size_t i, int attempt,
+                             const std::string& error) {
+    c.Emit(obs::EventKind::kTrialRetry, static_cast<std::uint64_t>(attempt),
+           static_cast<std::int64_t>(i), error);
+  };
+  exec.max_restarts = c.opt.max_worker_restarts;
+  exec.verbose = c.opt.verbose;
+  // Runs concurrently on in-process workers and serially on the isolation
+  // supervisor; it touches only the trial's own slot, the thread-safe
+  // journal and the slots' atomics and lock.
+  const TrialCallback on_done = [&](CompletedTrial&& t) {
+    if (c.journal) EmitCompletion(c, p, golden->spec, t);
+    slots.Complete(std::move(t));
+  };
+
+  const auto run = UseIsolation(c) ? RunTrialsIsolated : RunTrials;
+  TrialExecReport rep;
+  {
+    std::optional<obs::ScopedTimer> timed;
+    if (c.metrics) timed.emplace(c.metrics->GetTimer("campaign.trial_loop"));
+    rep = run(golden, p.specs, resumed, exec, on_done);
+  }
+  result.worker_restarts = rep.restarts;
+  result.containment_exhausted = rep.exhausted;
+  if (c.metrics && rep.restarts)
+    c.metrics->GetCounter("campaign.workers.restarts").Inc(rep.restarts);
+
+  // Interruption keeps the contiguous completed prefix, exactly what the
+  // journal holds, so the partial result, its telemetry and a resumed run
+  // agree on which trials exist; out-of-order completions past it re-run
+  // on resume.
+  const std::size_t n = p.specs.size();
+  if (!c.opt.cancel || !c.opt.cancel->cancelled()) return n;
+  c.Emit(obs::EventKind::kCancelRequested);
+  const std::size_t prefix = slots.Prefix();
+  if (prefix == n) return n;
+  slots.Flush();
+  result.interrupted = true;
+  if (c.opt.verbose)
+    std::fprintf(stderr, "[campaign %s] interrupted at %zu/%zu trials%s\n",
+                 c.key.c_str(), prefix, n,
+                 slots.journaling() ? " (checkpoint flushed)" : "");
+  return prefix;
+}
+
+// Stage 4, finalize: the kept records, traces and quarantine list in trial
+// order, the metrics replay, then persistence. A complete result is cached
+// and retires the checkpoint journal. A result with budget holes (never
+// executed) is not cached; its journal, which holds only executed trials,
+// is flushed once more so a re-run resumes from the largest real prefix.
+void Finalize(const CampaignRun& c, TrialSlots& s, std::size_t kept,
+              CampaignResult& result) {
+  std::uint64_t n_timeout = 0, n_crash = 0;
+  std::array<std::uint64_t, check::kNumInvariantKinds> violations{};
+  for (std::size_t i = 0; i < kept; ++i) {
+    CompletedTrial& t = s.slots()[i];
+    result.trials.push_back(t.record);
+    if (c.tracing) result.prop_traces.push_back(std::move(t.trace));
+    for (std::size_t k = 0; k < violations.size(); ++k)
+      violations[k] += t.violations[k];
+    if (t.record.outcome != Outcome::kTrialError) continue;
+    // Restored records carry no message or reason: neither is persisted.
+    const QuarantineReason why =
+        t.quarantine.value_or(QuarantineReason::kException);
+    result.quarantined.push_back({i, t.error, why});
+    n_timeout += why == QuarantineReason::kTimeout;
+    n_crash += why == QuarantineReason::kCrash;
+  }
+  if (obs::MetricsRegistry* m = c.metrics) {
+    EmitTrialMetrics(result.trials, *m);
+    // Containment splits and violation totals only when nonzero, so a clean
+    // campaign's metrics JSON has no always-present keys for them.
+    if (n_timeout) m->GetCounter("campaign.trials.timeout").Inc(n_timeout);
+    if (n_crash) m->GetCounter("campaign.trials.crash").Inc(n_crash);
+    for (std::size_t k = 0; k < violations.size(); ++k)
+      if (violations[k])
+        m->GetCounter(std::string("check.violations.") +
+                      check::InvariantKindName(
+                          static_cast<check::InvariantKind>(k)))
+            .Inc(violations[k]);
+  }
+  if (result.interrupted) return;
+  if (result.containment_exhausted) return s.Flush();
+  if (c.opt.use_cache && !c.checked && StoreCachedCampaign(result, c.metrics))
+    c.Emit(obs::EventKind::kCacheStore, result.trials.size());
+  s.Retire();
 }
 
 }  // namespace
@@ -210,589 +576,24 @@ std::vector<TrialSpec> MakeTrialSpecs(const CampaignSpec& spec,
 
 CampaignResult RunCampaign(const CampaignSpec& spec,
                            const CampaignOptions& opt) {
-  obs::MetricsRegistry* metrics = opt.obs.sinks.metrics;
-  obs::ChromeTraceWriter* chrome = opt.obs.sinks.chrome;
-  const bool tracing = opt.obs.collect_prop_traces;
-  const std::string key = spec.CacheKey();
-  // Checked campaigns run every trial core with the per-cycle invariant
-  // checker and quarantine structural violations. The CacheKey deliberately
-  // does not hash execution options, so checked runs (whose quarantine
-  // decisions differ from unchecked ones) must bypass the cache and the
-  // checkpoint journal in both directions.
-  const bool checked = opt.check_invariants || spec.core.check_invariants;
-
-  // Event journal: the caller's, or a private one spun up so --progress can
-  // run as a journal consumer even with no other telemetry attached. All
-  // emission below funnels through `journal`; when it is null an event
-  // costs one pointer test. The journal is pure telemetry — trial records,
-  // classification counts and cache keys are byte-identical with it on or
-  // off (pinned by tests/test_telemetry.cpp).
-  std::optional<obs::EventJournal> local_journal;
-  obs::EventJournal* journal = opt.obs.events;
-  if (!journal && opt.obs.progress) {
-    local_journal.emplace();
-    journal = &*local_journal;
+  const CampaignRun c(spec, opt);
+  c.Emit({.kind = obs::EventKind::kCampaignStart, .field = spec.workload,
+          .value = static_cast<std::uint64_t>(spec.trials), .detail = c.key});
+  if (std::optional<CampaignResult> cached = LoadFromCache(c)) {
+    c.Finish(cached->trials.size(), /*interrupted=*/false);
+    return *cached;
   }
-  std::optional<obs::ProgressSink> progress_sink;
-  if (journal && opt.obs.progress)
-    progress_sink.emplace(key, spec.trials, std::cerr);
-  ProgressSinkGuard progress_guard(
-      journal, progress_sink ? &*progress_sink : nullptr);
-
-  auto emit = [&](obs::Event e) {
-    if (journal) journal->Emit(std::move(e));
-  };
-  // Campaign-finish bookkeeping shared by the cache-hit and live paths: the
-  // finish event, then a drain so the journal (including the --progress
-  // summary line) is complete before RunCampaign returns — also on
-  // interruption. The finish event carries the number of
-  // events the (shared, possibly pre-used) journal shed to backpressure
-  // during THIS campaign, so lossy telemetry is self-reporting.
-  const std::uint64_t dropped_before = journal ? journal->dropped() : 0;
-  auto finish_journal = [&](std::uint64_t kept, bool interrupted) {
-    if (!journal) return;
-    const std::uint64_t dropped = journal->dropped() - dropped_before;
-    if (metrics && dropped)
-      metrics->GetCounter("campaign.events.dropped").Inc(dropped);
-    obs::Event e;
-    e.kind = obs::EventKind::kCampaignFinish;
-    e.value = kept;
-    e.interrupted = interrupted;
-    e.dropped = dropped;
-    journal->Emit(std::move(e));
-    journal->Flush();
-  };
-
-  {
-    obs::Event e;
-    e.kind = obs::EventKind::kCampaignStart;
-    e.detail = key;
-    e.field = spec.workload;
-    e.value = static_cast<std::uint64_t>(spec.trials);
-    emit(std::move(e));
-  }
-
-  // Per-trial artifacts (propagation traces, chrome spans) record live
-  // execution and are never cached, so runs collecting them always execute.
-  // Metrics-attached runs may load cached results: the campaign.* counters
-  // and histograms are replayed from the cached records (identical totals to
-  // a live run), and the hit itself becomes observable.
-  if (opt.use_cache && !tracing && !chrome && !checked) {
-    if (auto cached = LoadCachedCampaign(spec)) {
-      if (metrics) {
-        metrics->GetCounter("campaign.cache.hits").Inc();
-        EmitTrialMetrics(cached->trials, *metrics);
-      }
-      {
-        obs::Event e;
-        e.kind = obs::EventKind::kCacheHit;
-        e.value = cached->trials.size();
-        emit(std::move(e));
-      }
-      if (opt.verbose)
-        std::fprintf(stderr, "[campaign %s] loaded %zu trials from cache\n",
-                     key.c_str(), cached->trials.size());
-      finish_journal(cached->trials.size(), /*interrupted=*/false);
-      return *cached;
-    }
-  }
-  if (metrics) metrics->GetCounter("campaign.cache.misses").Inc();
-  if (chrome) {
-    chrome->SetProcessName(obs::ChromeTraceWriter::kPidPipeline,
-                           "pipeline occupancy (golden run, 1us = 1 cycle)");
-    chrome->SetProcessName(obs::ChromeTraceWriter::kPidCampaign,
-                           "campaign trials (wall clock)");
-  }
-
-  const Program program = ResolveCampaignProgram(spec.workload);
-
-  // Trial cores optionally carry the invariant checker; the golden run below
-  // always executes unchecked (it defines reference behaviour, and a clean
-  // machine never violates). The probe replica exists before the golden run
-  // so the trial specs (and the fast-path capture plan derived from them)
-  // can be handed to the recorder.
-  CoreConfig trial_cfg = spec.core;
-  trial_cfg.check_invariants = checked;
-  Core probe(trial_cfg, program);
+  if (c.metrics) c.metrics->GetCounter("campaign.cache.misses").Inc();
 
   CampaignResult result;
   result.spec = spec;
-  for (int c = 0; c < kNumStateCats; ++c)
-    result.inventory[c] = probe.registry().Inventory(static_cast<StateCat>(c));
-
-  const std::uint64_t bits = probe.registry().InjectableBits(spec.include_ram);
-  const std::vector<TrialSpec> specs = MakeTrialSpecs(spec, bits);
-  const std::size_t n = specs.size();
-
-  // Trial fast path: tell the recorder which injection cycles to
-  // delta-snapshot and which words' first accesses to track. Checked
-  // campaigns force the slow path (violation cycles are checkpoint-relative
-  // and the pre-injection advance must execute under the checker too);
-  // everything else is byte-identical either way.
-  const bool fast = opt.fast_path && !checked;
-  FastPathPlan plan;
-  if (fast) plan = PlanFastPath(spec.golden, specs, probe.registry());
-
-  if (opt.verbose)
-    std::fprintf(stderr, "[campaign %s] recording golden run...\n",
-                 key.c_str());
-  std::shared_ptr<const GoldenRun> golden;
-  {
-    std::optional<obs::ScopedTimer> timed;
-    if (metrics) timed.emplace(metrics->GetTimer("campaign.golden_record"));
-    golden = RecordGolden(spec.core, program, spec.golden, &opt.obs.sinks,
-                          fast ? &plan : nullptr);
-  }
-  {
-    obs::Event e;
-    e.kind = obs::EventKind::kGoldenDone;
-    e.value = golden->checkpoints.size();
-    emit(std::move(e));
-  }
-
-  result.golden_ipc = golden->stats.Ipc();
-  result.golden_bp_accuracy =
-      golden->stats.branches
-          ? 1.0 - static_cast<double>(golden->stats.mispredicts) /
-                      static_cast<double>(golden->stats.branches)
-          : 0.0;
-  result.golden_dcache_misses = golden->stats.dcache_misses;
-
-  result.trials.resize(n);
-  if (tracing) result.prop_traces.resize(n);
-  std::vector<TrialTiming> timing(n);
-
-  // Checkpoint journaling. TFI_CHECKPOINT_EVERY overrides the option so
-  // smoke tests can force tiny intervals on any binary. Trace-collecting
-  // runs never journal: the journal holds records only, and a resumed
-  // prefix without its traces would break trace/record parallelism.
-  const std::int64_t every_env =
-      EnvInt("TFI_CHECKPOINT_EVERY", opt.checkpoint_every);
-  const std::uint64_t journal_every = (!tracing && !checked && every_env > 0)
-                                          ? static_cast<std::uint64_t>(every_env)
-                                          : 0;
-
-  // Per-trial completion flags: the release store in the worker pairs with
-  // the acquire scan in the checkpointer, making the record slots of the
-  // contiguous completed prefix safe to read while other trials still run.
-  auto completed = std::make_unique<std::atomic<bool>[]>(n);
-  std::size_t resumed = 0;
-  if (journal_every) {
-    if (auto ckpt = LoadCampaignCheckpoint(spec)) {
-      resumed = std::min(ckpt->size(), n);
-      for (std::size_t i = 0; i < resumed; ++i) {
-        result.trials[i] = (*ckpt)[i];
-        completed[i].store(true, std::memory_order_relaxed);
-      }
-      if (metrics && resumed)
-        metrics->GetCounter("campaign.checkpoint.resumed_trials")
-            .Inc(resumed);
-      if (opt.verbose && resumed)
-        std::fprintf(stderr,
-                     "[campaign %s] resumed %zu/%zu trials from checkpoint\n",
-                     key.c_str(), resumed, n);
-    }
-  }
-
-  const int jobs = std::min(
-      ResolveJobs(opt.jobs),
-      static_cast<int>(std::max<std::size_t>(n - resumed, 1)));
-  // Wall epoch for the chrome campaign lane and its instant markers. `done`
-  // counts completed trials for the checkpoint-flush trigger; user-facing
-  // progress is the event journal's ProgressSink.
-  const Clock::time_point wall_epoch = Clock::now();
-  std::atomic<std::uint64_t> done{resumed};
-  std::atomic<std::size_t> next{resumed};
-  std::vector<std::string> errmsgs(n);
-  std::vector<QuarantinedTrial::Reason> reasons(
-      n, QuarantinedTrial::Reason::kException);
-  // Per-trial per-kind invariant-violation counts (checked campaigns only).
-  // Collected in per-index slots and summed after the pool joins, so the
-  // exported check.violations.* totals are identical at every `jobs` value.
-  using KindCounts = std::array<std::uint64_t, check::kNumInvariantKinds>;
-  std::vector<KindCounts> viol_counts(checked ? n : 0, KindCounts{});
-
-  // Campaign-lane happenings (retry, quarantine, checkpoint flush,
-  // cancellation) surface in the chrome trace as instant markers. Workers
-  // collect them under a mutex during the run; they are emitted into the
-  // writer (which is not thread-safe) only after the pool joins.
-  struct Marker {
-    std::string name;
-    std::uint64_t ts_us;
-    obs::ChromeTraceWriter::Args args;
-  };
-  std::vector<Marker> markers;
-  std::mutex markers_mu;
-  auto add_marker = [&](const char* name, obs::ChromeTraceWriter::Args args) {
-    if (!chrome) return;
-    const std::uint64_t ts = ElapsedUs(wall_epoch, Clock::now());
-    std::lock_guard<std::mutex> lock(markers_mu);
-    markers.push_back({name, ts, std::move(args)});
-  };
-
-  // Flushes the journal with the current contiguous completed prefix.
-  // Serialized by the mutex; cheap no-op when the prefix hasn't advanced
-  // past what's already on disk.
-  std::mutex ckpt_mu;
-  std::size_t ckpt_prefix = resumed;   // all three guarded by ckpt_mu
-  std::size_t ckpt_flushed = resumed;
-  // Checkpoint containment: StoreCampaignCheckpoint already retries with
-  // backoff internally; a flush that still fails (disk full, permissions)
-  // disables checkpointing for the rest of the run — one stderr warning,
-  // one kCheckpointDisabled event — instead of hammering a dead disk every
-  // interval. The campaign itself continues unharmed; only resumability of
-  // THIS run is lost.
-  bool ckpt_disabled = false;
-  auto FlushCheckpoint = [&] {
-    if (!journal_every) return;
-    std::lock_guard<std::mutex> lock(ckpt_mu);
-    if (ckpt_disabled) return;
-    while (ckpt_prefix < n &&
-           completed[ckpt_prefix].load(std::memory_order_acquire))
-      ++ckpt_prefix;
-    if (ckpt_prefix == ckpt_flushed) return;
-    const std::vector<TrialRecord> prefix(
-        result.trials.begin(),
-        result.trials.begin() + static_cast<std::ptrdiff_t>(ckpt_prefix));
-    if (!StoreCampaignCheckpoint(spec, prefix, metrics)) {
-      ckpt_disabled = true;
-      std::fprintf(stderr,
-                   "[campaign %s] checkpoint flush failed; checkpointing "
-                   "disabled for the rest of this run\n",
-                   key.c_str());
-      if (journal) {
-        obs::Event e;
-        e.kind = obs::EventKind::kCheckpointDisabled;
-        e.detail = "checkpoint flush failed; checkpointing disabled";
-        journal->Emit(std::move(e));
-      }
-      add_marker("checkpoint disabled", {});
-      return;
-    }
-    ckpt_flushed = ckpt_prefix;
-    add_marker("checkpoint flush", {{"prefix", std::to_string(ckpt_flushed)}});
-    if (journal) {
-      obs::Event e;
-      e.kind = obs::EventKind::kCheckpointFlush;
-      e.value = ckpt_flushed;
-      journal->Emit(std::move(e));
-    }
-  };
-
-  // Execution policy for every worker's TrialRunner: the retry/quarantine
-  // loop and the checked-run handling live in the runner; the campaign adds
-  // telemetry through its hooks and collects results in per-index slots.
-  TrialPolicy policy;
-  policy.fast_path = fast;
-  policy.retries = opt.retries;
-  policy.check_invariants = checked;
-  // Trial containment: the per-attempt watchdog deadline. TFI_TRIAL_TIMEOUT
-  // overrides the option so smoke tests can arm it on any binary.
-  policy.timeout_ms = EnvInt("TFI_TRIAL_TIMEOUT", opt.trial_timeout_ms);
-
-  // The one trial-completion path, shared by both executors: in-process
-  // workers call it concurrently (one call per trial they ran), the
-  // isolation supervisor serially from its own thread. It writes only the
-  // trial's own slots, the thread-safe journal, the locked marker list and
-  // atomics, so calls for distinct trials never race. The injection site is
-  // resolved against the probe replica, whose registry layout is identical
-  // to every trial core's, so kTrialDone is the same in both modes. Returns
-  // the number of trials completed so far (resumed ones included).
-  auto complete_trial = [&](IsolatedTrial&& t) -> std::uint64_t {
-    const std::size_t i = t.index;
-    result.trials[i] = t.record;
-    const std::uint64_t now_us = ElapsedUs(wall_epoch, Clock::now());
-    timing[i] = {now_us >= t.dur_us ? now_us - t.dur_us : 0, t.dur_us,
-                 t.worker};
-    if (t.quarantined) {
-      using Reason = QuarantinedTrial::Reason;
-      const Reason reason = t.budget_exhausted ? Reason::kBudget
-                            : t.crashed        ? Reason::kCrash
-                            : t.timed_out      ? Reason::kTimeout
-                                               : Reason::kException;
-      reasons[i] = reason;
-      errmsgs[i] = std::move(t.error);
-      if (journal) {
-        obs::Event ev;
-        using Kind = obs::EventKind;
-        ev.kind = reason == Reason::kCrash     ? Kind::kTrialCrash
-                  : reason == Reason::kTimeout ? Kind::kTrialTimeout
-                                               : Kind::kTrialQuarantine;
-        ev.trial = static_cast<std::int64_t>(i);
-        if (reason == Reason::kCrash) ev.value = t.status;
-        if (reason == Reason::kTimeout)
-          ev.value = static_cast<std::uint64_t>(policy.timeout_ms);
-        ev.detail = errmsgs[i];
-        journal->Emit(std::move(ev));
-      }
-      add_marker(reason == Reason::kCrash     ? "trial crashed"
-                 : reason == Reason::kTimeout ? "trial timeout"
-                                              : "trial quarantined",
-                 {{"trial", std::to_string(i)}, {"error", errmsgs[i]}});
-    }
-    // Budget holes never ran: keeping them out of the completed[] prefix
-    // keeps them out of the checkpoint journal, so a re-run resumes with
-    // real execution instead of inheriting the hole.
-    if (!t.budget_exhausted)
-      completed[i].store(true, std::memory_order_release);
-    if (journal) {
-      const InjectionSite site =
-          ResolveInjectionSite(golden->spec, specs[i], probe.registry());
-      const BitLocation& loc = site.primary;
-      obs::Event ev;
-      ev.kind = obs::EventKind::kTrialDone;
-      ev.trial = static_cast<std::int64_t>(i);
-      ev.outcome = t.record.outcome;
-      ev.mode = t.record.mode;
-      // Site category/storage come from the resolved location, not the
-      // record: a quarantined record carries defaults, but the injection
-      // site is still real.
-      ev.cat = loc.cat;
-      ev.storage = loc.storage;
-      ev.cycles = t.record.cycles;
-      ev.dur_us = t.dur_us;
-      ev.field = loc.name;
-      ev.field_bits = probe.registry().FieldInfoAt(loc.field_index).bits();
-      // Propagation latencies join in when tracing (-1 = silent).
-      if (tracing) {
-        ev.arch_divergence_cycle = result.prop_traces[i].arch_divergence_cycle;
-        ev.first_spread_cycle = result.prop_traces[i].first_spread_cycle;
-      }
-      journal->Emit(std::move(ev));
-    }
-    const std::uint64_t d = done.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (journal_every && d % journal_every == 0) FlushCheckpoint();
-    return d;
-  };
-
-  // One worker's share of the campaign: pull the next unclaimed trial index
-  // and run it on a private TrialRunner against the shared golden run.
-  // Results land in per-index slots, so collection order never depends on
-  // scheduling. Cancellation drains: in-flight trials finish, no new ones
-  // start. Worker 0 doubles as the progress printer.
-  auto work = [&](TrialRunner& runner, int worker) {
-    std::size_t cur = 0;  // trial index the hooks below report against
-    TrialRunner::Hooks hooks;
-    hooks.before_attempt = [&] {
-      if (opt.trial_fault_hook) opt.trial_fault_hook(cur);
-    };
-    hooks.on_retry = [&](int attempt, const std::string& error) {
-      if (journal) {
-        obs::Event ev;
-        ev.kind = obs::EventKind::kTrialRetry;
-        ev.trial = static_cast<std::int64_t>(cur);
-        ev.value = static_cast<std::uint64_t>(attempt);
-        ev.detail = error;
-        journal->Emit(std::move(ev));
-      }
-      add_marker("trial retry",
-                 {{"trial", std::to_string(cur)}, {"error", error}});
-    };
-    for (;;) {
-      if (opt.cancel && opt.cancel->cancelled()) return;
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      cur = i;
-      const auto t0 = Clock::now();
-      TrialRunner::Result res = runner.Run(specs[i], tracing, &hooks);
-      IsolatedTrial t;
-      t.index = i;
-      t.record = res.record;
-      t.quarantined = res.quarantined;
-      t.timed_out = res.timed_out;
-      t.dur_us = ElapsedUs(t0, Clock::now());
-      t.worker = worker;
-      t.error = std::move(res.error);
-      if (checked && res.quarantined) {
-        // Per-kind violation tallies for the check.violations.* totals.
-        if (const check::InvariantChecker* chk =
-                runner.core().invariant_checker();
-            chk && chk->total() != 0) {
-          for (int k = 0; k < check::kNumInvariantKinds; ++k)
-            viol_counts[i][static_cast<std::size_t>(k)] =
-                chk->CountFor(static_cast<check::InvariantKind>(k));
-        }
-      }
-      if (tracing) result.prop_traces[i] = std::move(res.trace);
-      const std::uint64_t d = complete_trial(std::move(t));
-
-      if (worker == 0 && !opt.obs.progress && opt.verbose &&
-          d % 200 < static_cast<std::uint64_t>(jobs)) {
-        std::fprintf(stderr, "[campaign %s] %llu/%d trials\n", key.c_str(),
-                     (unsigned long long)d, spec.trials);
-      }
-    }
-  };
-
-  // Crash containment: forked-worker execution (inject/isolate.h). Tracing
-  // and checked runs need the trial core in this process (traces and checker
-  // state don't cross the pipe), so they fall back to in-process execution.
-  const bool isolate = [&] {
-    if (!opt.isolate_trials) return false;
-    if (tracing || checked) {
-      std::fprintf(stderr,
-                   "[campaign %s] --isolate-trials is incompatible with "
-                   "propagation tracing and checked runs; executing "
-                   "in-process\n",
-                   key.c_str());
-      return false;
-    }
-    if (!IsolationSupported()) {
-      std::fprintf(stderr,
-                   "[campaign %s] trial isolation is not supported on this "
-                   "platform; executing in-process\n",
-                   key.c_str());
-      return false;
-    }
-    return true;
-  }();
-
-  {
-    std::optional<obs::ScopedTimer> loop_timer;
-    if (metrics) loop_timer.emplace(metrics->GetTimer("campaign.trial_loop"));
-    if (isolate) {
-      IsolateOptions iso;
-      iso.jobs = jobs;
-      iso.policy = policy;
-      iso.max_restarts = opt.max_worker_restarts;
-      iso.cancel = opt.cancel;
-      iso.before_trial = opt.trial_fault_hook;
-      iso.verbose = opt.verbose;
-      const IsolateReport rep = RunTrialsIsolated(
-          golden, specs, resumed, iso,
-          [&](IsolatedTrial&& t) { complete_trial(std::move(t)); });
-      result.worker_restarts = rep.restarts;
-      result.containment_exhausted = rep.exhausted;
-      if (metrics && rep.restarts)
-        metrics->GetCounter("campaign.workers.restarts").Inc(rep.restarts);
-    } else if (jobs <= 1) {
-      TrialRunner runner(golden, policy);
-      work(runner, 0);
-    } else {
-      std::vector<std::exception_ptr> errors(static_cast<std::size_t>(jobs));
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<std::size_t>(jobs));
-      for (int w = 0; w < jobs; ++w) {
-        pool.emplace_back([&, w] {
-          try {
-            TrialRunner runner(golden, policy);
-            work(runner, w);
-          } catch (...) {
-            errors[static_cast<std::size_t>(w)] = std::current_exception();
-          }
-        });
-      }
-      for (auto& th : pool) th.join();
-      for (const auto& e : errors)
-        if (e) std::rethrow_exception(e);
-    }
-  }
-  // Interruption: keep only the contiguous completed prefix — exactly what
-  // the journal holds — so the partial result, its telemetry, and a later
-  // resumed run all agree on which trials exist. Trials completed out of
-  // order beyond the prefix are discarded (their specs re-run on resume).
-  if (opt.cancel && opt.cancel->cancelled()) {
-    {
-      obs::Event e;
-      e.kind = obs::EventKind::kCancelRequested;
-      emit(std::move(e));
-    }
-    add_marker("cancelled", {});
-    std::size_t prefix = 0;
-    while (prefix < n &&
-           completed[prefix].load(std::memory_order_acquire))
-      ++prefix;
-    if (prefix < n) {
-      FlushCheckpoint();
-      result.interrupted = true;
-      result.trials.resize(prefix);
-      if (tracing) result.prop_traces.resize(prefix);
-      timing.resize(prefix);
-      if (opt.verbose)
-        std::fprintf(stderr,
-                     "[campaign %s] interrupted at %zu/%zu trials%s\n",
-                     key.c_str(), prefix, n,
-                     journal_every ? " (checkpoint flushed)" : "");
-    }
-  }
-
-  // Quarantined trials, in trial-index order (messages are empty for
-  // records restored from a checkpoint — diagnostics are not persisted).
-  for (std::size_t i = 0; i < result.trials.size(); ++i)
-    if (result.trials[i].outcome == Outcome::kTrialError)
-      result.quarantined.push_back({i, errmsgs[i], reasons[i]});
-
-  // Telemetry is emitted after the pool joins, in trial-index order, so the
-  // exported counters/histograms (and the chrome span list) are identical
-  // to a serial run's regardless of how trials were scheduled.
-  if (metrics) EmitTrialMetrics(result.trials, *metrics);
-  if (metrics) {
-    // Containment-specific quarantine splits. Only emitted when nonzero so
-    // a clean campaign's metrics JSON stays byte-identical to pre-watchdog
-    // runs (no new always-present keys).
-    std::uint64_t n_timeout = 0, n_crash = 0;
-    for (const QuarantinedTrial& q : result.quarantined) {
-      if (q.reason == QuarantinedTrial::Reason::kTimeout) ++n_timeout;
-      if (q.reason == QuarantinedTrial::Reason::kCrash) ++n_crash;
-    }
-    if (n_timeout)
-      metrics->GetCounter("campaign.trials.timeout").Inc(n_timeout);
-    if (n_crash) metrics->GetCounter("campaign.trials.crash").Inc(n_crash);
-  }
-  if (metrics && checked) {
-    for (int k = 0; k < check::kNumInvariantKinds; ++k) {
-      std::uint64_t sum = 0;
-      for (std::size_t i = 0; i < result.trials.size(); ++i)
-        sum += viol_counts[i][static_cast<std::size_t>(k)];
-      if (sum)
-        metrics
-            ->GetCounter(std::string("check.violations.") +
-                         check::InvariantKindName(
-                             static_cast<check::InvariantKind>(k)))
-            .Inc(sum);
-    }
-  }
-  if (chrome) {
-    for (int w = 0; w < jobs; ++w)
-      chrome->SetThreadName(obs::ChromeTraceWriter::kPidCampaign, w,
-                            "trial worker " + std::to_string(w));
-    for (std::size_t i = 0; i < result.trials.size(); ++i) {
-      const TrialRecord& rec = result.trials[i];
-      chrome->CompleteEvent(
-          OutcomeName(rec.outcome), obs::ChromeTraceWriter::kPidCampaign,
-          timing[i].worker, timing[i].ts_us, timing[i].dur_us,
-          {{"category", StateCatName(rec.cat)},
-           {"failure_mode", FailureModeName(rec.mode)},
-           {"cycles", std::to_string(rec.cycles)}});
-    }
-    // Instant markers last, in time order (workers appended them in
-    // completion order, which needn't be monotone across threads).
-    std::sort(markers.begin(), markers.end(),
-              [](const Marker& a, const Marker& b) { return a.ts_us < b.ts_us; });
-    for (const Marker& m : markers)
-      chrome->InstantEvent(m.name, obs::ChromeTraceWriter::kPidCampaign,
-                           m.ts_us, m.args);
-  }
-
-  if (!result.interrupted && result.containment_exhausted) {
-    // Budget holes are synthesized, not executed: never cache them, keep
-    // the checkpoint journal (which holds only genuinely executed trials,
-    // thanks to the completed[] gating above) and flush it one last time so
-    // a re-run resumes from the largest real prefix.
-    FlushCheckpoint();
-  } else if (!result.interrupted) {
-    if (opt.use_cache && !checked &&
-        StoreCachedCampaign(result, metrics)) {
-      obs::Event e;
-      e.kind = obs::EventKind::kCacheStore;
-      e.value = result.trials.size();
-      emit(std::move(e));
-    }
-    // The journal is subsumed by the completed result; drop it so the next
-    // run of this CacheKey starts clean (or hits the cache).
-    if (journal_every) RemoveCampaignCheckpoint(spec);
-  }
-  finish_journal(result.trials.size(), result.interrupted);
+  const Plan plan = PlanCampaign(c, result);
+  const std::shared_ptr<const GoldenRun> golden =
+      RecordCampaignGolden(c, plan, result);
+  TrialSlots slots(c, plan.specs.size());
+  const std::size_t kept = Execute(c, plan, golden, slots, result);
+  Finalize(c, slots, kept, result);
+  c.Finish(result.trials.size(), result.interrupted);
   return result;
 }
 

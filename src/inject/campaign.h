@@ -39,8 +39,9 @@ struct CampaignSpec {
 // their defaults; observation never changes trial results (tracing and
 // metrics only read machine state).
 struct CampaignObs {
-  // Metrics/chrome sinks, attached to the golden-run core and the trial
-  // core, and fed campaign-level counters, timers and trial spans.
+  // Metrics/chrome sinks: the golden-run core feeds both; the campaign adds
+  // counters and timers, and the chrome campaign lane is drawn from the
+  // event journal (a private one when `events` is null).
   obs::ObsSinks sinks;
   // Record a PropagationTrace per trial into CampaignResult::prop_traces.
   // Traced runs bypass the on-disk result cache (traces are not cached) but
@@ -65,12 +66,15 @@ struct CampaignObs {
 // key depend only on the CampaignSpec, and are byte-identical at every
 // `jobs` value (trial specs are pre-generated from the seeded Rng before
 // any worker starts, and records are collected back in trial-index order).
+// RunCampaign reads its execution policy from here only, never from the
+// environment; tfi and the bench binaries map TFI_* variables onto it.
 struct CampaignOptions {
   // Worker threads for the trial loop. 1 runs serially on the calling
   // thread; 0 or negative uses one worker per hardware thread. Each worker
   // owns a private Core replica and shares the immutable golden run.
   int jobs = 1;
-  // Stderr progress notes (golden recording, cache loads, trial counts).
+  // Stderr notes: golden recording, cache loads, resumes, interruptions
+  // (per-trial progress is CampaignObs::progress).
   bool verbose = true;
   // Consult/populate the on-disk results cache. Benchmarks and determinism
   // tests disable this to force live execution.
@@ -91,11 +95,10 @@ struct CampaignOptions {
   // flushed to a per-CacheKey journal under TFI_CACHE_DIR every this many
   // completed trials (and on interruption), and an existing journal for the
   // same CacheKey is loaded at startup so the campaign resumes exactly where
-  // it stopped. The TFI_CHECKPOINT_EVERY env var, when set, overrides this
-  // value (tests force tiny intervals through it). Journals only hold trial
-  // records, so runs collecting propagation traces never checkpoint/resume.
-  // Resumed records are byte-identical to an uninterrupted run's at any
-  // `jobs` value. 0 disables journaling.
+  // it stopped. Journals only hold trial records, so runs collecting
+  // propagation traces never checkpoint/resume. Resumed records are
+  // byte-identical to an uninterrupted run's at any `jobs` value. 0 disables
+  // journaling.
   int checkpoint_every = 0;
   // Debug mode: run every trial core with the per-cycle invariant checker
   // (CoreConfig::check_invariants) and quarantine any trial whose injected
@@ -110,8 +113,7 @@ struct CampaignOptions {
   // (TrialPolicy::timeout_ms). A trial whose injected fault wedges the
   // simulation loop is quarantined as Outcome::kTrialError with
   // QuarantinedTrial::Reason::kTimeout (journal: kTrialTimeout) instead of
-  // hanging a worker forever. The TFI_TRIAL_TIMEOUT env var, when set,
-  // overrides this value. 0 disables the watchdog.
+  // hanging a worker forever. 0 disables the watchdog.
   std::int64_t trial_timeout_ms = 0;
   // Crash containment: run trials in forked worker subprocesses under a
   // single-threaded supervisor (inject/isolate.h), so a trial that
@@ -148,12 +150,7 @@ struct CampaignOptions {
 // the message is diagnostic only and is not persisted in caches or
 // checkpoints.
 struct QuarantinedTrial {
-  enum class Reason : std::uint8_t {
-    kException,  // execution threw (after retries) or violated an invariant
-    kTimeout,    // watchdog deadline (CampaignOptions::trial_timeout_ms)
-    kCrash,      // isolated worker died (signal / nonzero exit)
-    kBudget,     // never ran: isolation restart budget exhausted
-  };
+  using Reason = QuarantineReason;  // inject/trial.h
   std::uint64_t index = 0;
   std::string message;
   Reason reason = Reason::kException;

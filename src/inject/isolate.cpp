@@ -38,8 +38,7 @@ struct WireFrame {
   std::uint32_t cycles = 0;
   std::uint32_t valid_instrs = 0;
   std::uint32_t inflight = 0;
-  std::uint8_t quarantined = 0;
-  std::uint8_t timed_out = 0;
+  std::uint16_t quarantine = 0;  // 0 = none, else 1 + QuarantineReason
   std::uint16_t error_len = 0;
 };
 
@@ -80,23 +79,23 @@ bool ReadFull(int fd, void* data, std::size_t len) {
 [[noreturn]] void RunWorkerChild(int rfd, int wfd,
                                  const std::shared_ptr<const GoldenRun>& golden,
                                  const std::vector<TrialSpec>& specs,
-                                 const IsolateOptions& opt) {
+                                 const TrialExecOptions& opt) {
   // The parent owns interruption policy; a tty SIGINT reaches the whole
   // process group, and a worker dying to it would be recorded as a crash.
   std::signal(SIGINT, SIG_IGN);
   TrialRunner runner(golden, opt.policy);
-  std::size_t cur = 0;
+  // Only the instrumentation hook: the parent's retry telemetry must not run
+  // here (the child has no journal drain thread, and a journal lock held at
+  // fork time would never be released).
   TrialRunner::Hooks hooks;
-  hooks.before_attempt = [&] {
-    if (opt.before_trial) opt.before_trial(cur);
-  };
+  hooks.before_attempt = opt.hooks.before_attempt;
   for (;;) {
     std::uint64_t idx = 0;
     if (!ReadFull(rfd, &idx, sizeof(idx)) || idx == kShutdown) ::_exit(0);
-    cur = static_cast<std::size_t>(idx);
+    const auto cur = static_cast<std::size_t>(idx);
     const auto t0 = Clock::now();
-    TrialRunner::Result res = runner.Run(specs[cur], /*want_trace=*/false,
-                                         &hooks);
+    TrialRunner::Result res =
+        runner.Run(specs[cur], /*want_trace=*/false, &hooks, cur);
     const auto t1 = Clock::now();
     WireFrame f;
     f.index = idx;
@@ -110,8 +109,10 @@ bool ReadFull(int fd, void* data, std::size_t len) {
     f.cycles = res.record.cycles;
     f.valid_instrs = res.record.valid_instrs;
     f.inflight = res.record.inflight;
-    f.quarantined = res.quarantined ? 1 : 0;
-    f.timed_out = res.timed_out ? 1 : 0;
+    if (res.quarantined)
+      f.quarantine = static_cast<std::uint16_t>(
+          1 + static_cast<int>(res.timed_out ? QuarantineReason::kTimeout
+                                             : QuarantineReason::kException));
     const std::size_t elen = std::min<std::size_t>(res.error.size(), 4096);
     f.error_len = static_cast<std::uint16_t>(elen);
     if (!WriteFull(wfd, &f, sizeof(f)) ||
@@ -137,25 +138,15 @@ const char* SignalName(int sig) {
   return s ? s : "unknown signal";
 }
 
-// The default-constructed kTrialError stand-in — byte-identical to what
-// TrialRunner::Run produces for an in-process quarantine, so isolated and
-// in-process campaigns disagree on nothing but the diagnostics.
-TrialRecord QuarantineRecord() {
-  TrialRecord rec{};
-  rec.outcome = Outcome::kTrialError;
-  return rec;
-}
-
 }  // namespace
 
 bool IsolationSupported() { return true; }
 
-IsolateReport RunTrialsIsolated(
+TrialExecReport RunTrialsIsolated(
     const std::shared_ptr<const GoldenRun>& golden,
     const std::vector<TrialSpec>& specs, std::size_t first,
-    const IsolateOptions& opt,
-    const std::function<void(IsolatedTrial&&)>& on_result) {
-  IsolateReport report;
+    const TrialExecOptions& opt, const TrialCallback& on_done) {
+  TrialExecReport report;
   const std::size_t total = specs.size();
   if (first >= total) return report;
 
@@ -180,7 +171,7 @@ IsolateReport RunTrialsIsolated(
   int restarts_left = std::max(opt.max_restarts, 0);
   std::size_t next = first;
   std::vector<std::size_t> requeued;  // hand-offs that never reached a child
-  bool exhausted = false;
+  bool& exhausted = report.exhausted;
   bool interrupted = false;
 
   auto spawn = [&](std::size_t slot) -> bool {
@@ -237,23 +228,23 @@ IsolateReport RunTrialsIsolated(
     w.alive = false;
     const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
     if (w.busy) {
-      IsolatedTrial t;
+      // Supervisor-made stand-ins are the default record with kTrialError,
+      // byte-identical to TrialRunner::Run's in-process quarantine.
+      CompletedTrial t;
       t.index = w.trial;
-      t.record = QuarantineRecord();
-      t.quarantined = true;
+      t.record.outcome = Outcome::kTrialError;
       t.worker = static_cast<int>(slot);
       t.dur_us = static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                                 w.started)
               .count());
       if (w.killed) {
-        t.timed_out = true;
+        t.quarantine = QuarantineReason::kTimeout;
         t.status = SIGKILL;
         t.error = "worker " + std::to_string(slot) + " hard-killed after " +
                   std::to_string(hard_ms) + "ms (trial unresponsive)";
-        ++report.timeouts;
       } else {
-        t.crashed = true;
+        t.quarantine = QuarantineReason::kCrash;
         if (WIFSIGNALED(status)) {
           const int sig = WTERMSIG(status);
           t.status = static_cast<std::uint64_t>(sig);
@@ -264,13 +255,12 @@ IsolateReport RunTrialsIsolated(
           t.error = "worker " + std::to_string(slot) +
                     " exited with status " + std::to_string(WEXITSTATUS(status));
         }
-        ++report.crashes;
       }
       if (opt.verbose)
         std::fprintf(stderr, "[isolate] trial %zu lost: %s\n", w.trial,
                      t.error.c_str());
       w.busy = false;
-      on_result(std::move(t));
+      on_done(std::move(t));
     } else if (!clean && opt.verbose) {
       std::fprintf(stderr, "[isolate] idle worker %zu died (status %d)\n",
                    slot, status);
@@ -302,7 +292,7 @@ IsolateReport RunTrialsIsolated(
       WireFrame f;
       std::memcpy(&f, w.buf.data(), sizeof(f));
       if (w.buf.size() < sizeof(f) + f.error_len) return;
-      IsolatedTrial t;
+      CompletedTrial t;
       t.index = static_cast<std::size_t>(f.index);
       t.record.outcome = static_cast<Outcome>(f.outcome);
       t.record.mode = static_cast<FailureMode>(f.mode);
@@ -311,15 +301,14 @@ IsolateReport RunTrialsIsolated(
       t.record.cycles = f.cycles;
       t.record.valid_instrs = f.valid_instrs;
       t.record.inflight = f.inflight;
-      t.quarantined = f.quarantined != 0;
-      t.timed_out = f.timed_out != 0;
+      if (f.quarantine != 0)
+        t.quarantine = static_cast<QuarantineReason>(f.quarantine - 1);
       t.dur_us = f.dur_us;
       t.worker = static_cast<int>(slot);
       t.error.assign(w.buf.data() + sizeof(f), f.error_len);
       w.buf.erase(0, sizeof(f) + f.error_len);
-      if (t.timed_out) ++report.timeouts;
       w.busy = false;
-      on_result(std::move(t));
+      on_done(std::move(t));
     }
   };
 
@@ -421,20 +410,17 @@ IsolateReport RunTrialsIsolated(
   // Containment exhausted: every un-run trial still gets exactly one result
   // — an explicit budget hole, clearly distinct from machine behaviour.
   if (exhausted) {
-    report.exhausted = true;
     std::vector<std::size_t> leftovers = std::move(requeued);
     for (std::size_t i = next; i < total; ++i) leftovers.push_back(i);
     for (std::size_t idx : leftovers) {
-      IsolatedTrial t;
+      CompletedTrial t;
       t.index = idx;
-      t.record = QuarantineRecord();
-      t.quarantined = true;
-      t.budget_exhausted = true;
+      t.record.outcome = Outcome::kTrialError;
+      t.quarantine = QuarantineReason::kBudget;
       t.error = "not executed: worker restart budget exhausted";
-      on_result(std::move(t));
+      on_done(std::move(t));
     }
   }
-  report.interrupted = interrupted;
 
   // Shutdown: closing the command pipe EOFs every child's next read.
   for (std::size_t s = 0; s < workers.size(); ++s) {
@@ -462,10 +448,10 @@ namespace tfsim {
 
 bool IsolationSupported() { return false; }
 
-IsolateReport RunTrialsIsolated(const std::shared_ptr<const GoldenRun>&,
-                                const std::vector<TrialSpec>&, std::size_t,
-                                const IsolateOptions&,
-                                const std::function<void(IsolatedTrial&&)>&) {
+TrialExecReport RunTrialsIsolated(const std::shared_ptr<const GoldenRun>&,
+                                  const std::vector<TrialSpec>&, std::size_t,
+                                  const TrialExecOptions&,
+                                  const TrialCallback&) {
   throw std::runtime_error(
       "trial isolation requires fork(); unsupported on this platform");
 }

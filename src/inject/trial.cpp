@@ -1,8 +1,11 @@
 #include "inject/trial.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "check/invariants.h"
 #include "util/failpoint.h"
@@ -143,17 +146,17 @@ void TrialRunner::CheckDeadline() const {
 }
 
 TrialRunner::Result TrialRunner::Run(const TrialSpec& spec, bool want_trace,
-                                     const Hooks* hooks) {
+                                     const Hooks* hooks, std::size_t trial) {
   Result res;
   const int attempts = 1 + std::max(policy_.retries, 0);
   bool ok = false;
   for (int attempt = 1; attempt <= attempts && !ok; ++attempt) {
-    res.attempts = attempt;
     // The deadline covers the whole attempt, hooks included: a stalled
     // before_attempt hook shows up at the first in-loop check.
     ArmDeadline();
     try {
-      if (hooks != nullptr && hooks->before_attempt) hooks->before_attempt();
+      if (hooks != nullptr && hooks->before_attempt)
+        hooks->before_attempt(trial);
       obs::PropagationTrace attempt_trace;
       bool fast = false;
       res.record =
@@ -173,7 +176,7 @@ TrialRunner::Result TrialRunner::Run(const TrialSpec& spec, bool want_trace,
       res.error = "unknown error";
     }
     if (!ok && hooks != nullptr && hooks->on_retry)
-      hooks->on_retry(attempt, res.error);
+      hooks->on_retry(trial, attempt, res.error);
   }
   if (!ok) {
     res.record = TrialRecord{};
@@ -513,6 +516,72 @@ TrialRecord TrialRunner::Simulate(const TrialSpec& spec,
       return finish(Outcome::kMicroArchMatch, FailureMode::kNoFailure, c);
   }
   return finish(Outcome::kGrayArea, FailureMode::kNoFailure, win);
+}
+
+TrialExecReport RunTrials(const std::shared_ptr<const GoldenRun>& golden,
+                          const std::vector<TrialSpec>& specs,
+                          std::size_t first, const TrialExecOptions& opt,
+                          const TrialCallback& on_done) {
+  const std::size_t n = specs.size();
+  if (first >= n) return {};
+  std::atomic<std::size_t> next{first};
+  // One worker's share: results go out through on_done in per-index form, so
+  // collection order never depends on scheduling.
+  auto work = [&](int worker) {
+    TrialRunner runner(golden, opt.policy);
+    for (;;) {
+      if (opt.cancel && opt.cancel->cancelled()) return;
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      const auto t0 = std::chrono::steady_clock::now();
+      TrialRunner::Result res =
+          runner.Run(specs[i], opt.want_trace, &opt.hooks, i);
+      CompletedTrial t;
+      t.index = i;
+      t.record = res.record;
+      t.dur_us = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count());
+      t.worker = worker;
+      t.trace = std::move(res.trace);
+      if (res.quarantined) {
+        t.quarantine = res.timed_out ? QuarantineReason::kTimeout
+                                     : QuarantineReason::kException;
+        t.error = std::move(res.error);
+        if (const check::InvariantChecker* chk =
+                runner.core().invariant_checker())
+          for (int k = 0; k < check::kNumInvariantKinds; ++k)
+            t.violations[static_cast<std::size_t>(k)] =
+                chk->CountFor(static_cast<check::InvariantKind>(k));
+      }
+      on_done(std::move(t));
+    }
+  };
+
+  const int jobs = static_cast<int>(
+      std::min<std::size_t>(static_cast<std::size_t>(std::max(opt.jobs, 1)),
+                            n - first));
+  if (jobs == 1) {
+    work(0);
+    return {};
+  }
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(jobs));
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(jobs));
+  for (int w = 0; w < jobs; ++w) {
+    pool.emplace_back([&, w] {
+      try {
+        work(w);
+      } catch (...) {
+        errors[static_cast<std::size_t>(w)] = std::current_exception();
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  for (const auto& e : errors)
+    if (e) std::rethrow_exception(e);
+  return {};
 }
 
 }  // namespace tfsim

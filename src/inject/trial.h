@@ -15,18 +15,22 @@
 // produce byte-identical TrialRecords and propagation traces.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "check/invariants.h"
 #include "inject/golden.h"
 #include "inject/outcome.h"
 #include "obs/prop_trace.h"
 #include "uarch/core.h"
+#include "util/cancel.h"
 
 namespace tfsim {
 
@@ -90,11 +94,6 @@ struct InjectionSite {
 InjectionSite ResolveInjectionSite(const GoldenSpec& spec,
                                    const TrialSpec& trial,
                                    const StateRegistry& registry);
-inline InjectionSite ResolveInjectionSite(const GoldenRun& golden,
-                                          const TrialSpec& trial,
-                                          const StateRegistry& registry) {
-  return ResolveInjectionSite(golden.spec, trial, registry);
-}
 
 // Derives the golden recorder's fast-path capture plan (injection-cycle
 // snapshots + first-access watches) from a campaign's trial specs.
@@ -118,19 +117,21 @@ class TrialRunner {
     // trial's on every path.
     obs::PropagationTrace trace;
     bool fast = false;        // classified from first-access data, no sim
-    int attempts = 1;         // execution attempts consumed
     bool quarantined = false; // record is the kTrialError stand-in
     bool timed_out = false;   // quarantine cause was the watchdog deadline
     std::string error;        // last failure message when quarantined
   };
 
-  // Host instrumentation around the retry loop (campaign telemetry/tests).
+  // Host instrumentation around the retry loop (campaign telemetry/tests),
+  // called with the trial index passed to Run().
   struct Hooks {
-    // Invoked before each execution attempt; a throw takes the same
-    // retry/quarantine path as a throwing trial.
-    std::function<void()> before_attempt;
-    // Invoked after each failed attempt with its 1-based number.
-    std::function<void(int attempt, const std::string& error)> on_retry;
+    // Before each execution attempt; a throw takes the same retry/quarantine
+    // path as a throwing trial.
+    std::function<void(std::size_t trial)> before_attempt;
+    // After each failed attempt, with its 1-based number.
+    std::function<void(std::size_t trial, int attempt,
+                       const std::string& error)>
+        on_retry;
   };
 
   // Runs one trial: up to 1 + max(retries, 0) attempts, then quarantine.
@@ -138,15 +139,13 @@ class TrialRunner {
   // quarantines (the violating attempt's trace is kept; the checker state
   // stays readable via core() until the next Run).
   Result Run(const TrialSpec& spec, bool want_trace = false,
-             const Hooks* hooks = nullptr);
+             const Hooks* hooks = nullptr, std::size_t trial = 0);
 
   // The owned replica: registry layout for site introspection, and the
   // invariant checker's verdicts after a checked Run(). Mutated by Run().
   Core& core() { return *core_; }
   const Core& core() const { return *core_; }
 
-  const GoldenRun& golden() const { return *golden_; }
-  const TrialPolicy& policy() const { return policy_; }
   // The observation window Run() classifies against.
   std::uint64_t window() const;
 
@@ -168,5 +167,63 @@ class TrialRunner {
   std::unique_ptr<Core> core_;
   std::chrono::steady_clock::time_point deadline_{};
 };
+
+// --- trial executors ---------------------------------------------------------
+//
+// An executor runs specs[first, size) against one golden run and reports each
+// trial it finishes exactly once through `on_done`. RunTrials (threads, below)
+// and RunTrialsIsolated (forked workers, inject/isolate.h) share a signature;
+// records never depend on which one ran or on `jobs`.
+
+// Why a trial was quarantined as Outcome::kTrialError.
+enum class QuarantineReason : std::uint8_t {
+  kException,  // execution threw (after retries) or violated an invariant
+  kTimeout,    // watchdog deadline (TrialPolicy::timeout_ms)
+  kCrash,      // isolated worker died (signal / nonzero exit)
+  kBudget,     // never ran: isolation restart budget exhausted
+};
+
+// One finished trial; campaigns keep one per trial index.
+struct CompletedTrial {
+  std::size_t index = 0;
+  TrialRecord record;  // the kTrialError stand-in when quarantined
+  std::optional<QuarantineReason> quarantine;  // set iff quarantined
+  std::string error;          // quarantine diagnostic (not persisted)
+  std::uint64_t status = 0;   // kCrash: signal number or exit status
+  std::uint64_t dur_us = 0;   // wall time (supervisor-observed for crashes)
+  int worker = 0;             // worker thread or subprocess slot
+  obs::PropagationTrace trace;  // when TrialExecOptions::want_trace
+  // Per-kind violation counts of a checked trial that was quarantined.
+  std::array<std::uint64_t, check::kNumInvariantKinds> violations{};
+};
+
+struct TrialExecOptions {
+  int jobs = 1;          // workers (resolved, >= 1), capped at the trials left
+  TrialPolicy policy;    // every worker's TrialRunner policy
+  bool want_trace = false;  // in-process only: traces don't cross the pipe
+  // Cooperative cancellation: in-flight trials finish, no new ones start.
+  CancellationToken* cancel = nullptr;
+  // Under isolation, before_attempt runs in the child (a crash or hang there
+  // exercises the supervisor) and on_retry is not called.
+  TrialRunner::Hooks hooks;
+  int max_restarts = 16;  // isolated only: worker respawns before exhaustion
+  bool verbose = false;   // isolated only: stderr notes on lost workers
+};
+
+struct TrialExecReport {
+  bool exhausted = false;      // isolation restart budget ran out
+  std::uint64_t restarts = 0;  // isolated workers respawned
+};
+
+using TrialCallback = std::function<void(CompletedTrial&&)>;
+
+// The in-process executor: `jobs` threads, each with a private TrialRunner,
+// pull the next unclaimed index; at jobs <= 1 the calling thread runs them
+// all. `on_done` runs on the workers, concurrently for distinct indices. An
+// exception outside a trial ends its worker and is rethrown after the join.
+TrialExecReport RunTrials(const std::shared_ptr<const GoldenRun>& golden,
+                          const std::vector<TrialSpec>& specs,
+                          std::size_t first, const TrialExecOptions& opt,
+                          const TrialCallback& on_done);
 
 }  // namespace tfsim

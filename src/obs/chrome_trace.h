@@ -6,8 +6,9 @@
 //   * pid kPidPipeline — per-stage occupancy counter tracks sampled from the
 //     golden (fault-free) pipeline run, with ts = simulated cycle number
 //     rendered as microseconds (1 cycle == 1us on screen).
-//   * pid kPidCampaign — one complete span per injection trial, with real
-//     wall-clock timestamps relative to campaign start.
+//   * pid kPidCampaign — one complete span per executed injection trial,
+//     with wall-clock timestamps on the event journal's clock (drawn by
+//     obs::ChromeLaneSink, obs/events.h).
 #pragma once
 
 #include <cstdint>

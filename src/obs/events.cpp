@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "obs/chrome_trace.h"
 #include "obs/export_meta.h"
 #include "obs/json_writer.h"
 #include "util/failpoint.h"
@@ -15,6 +16,20 @@ namespace {
 const char* StorageName(Storage s) {
   return s == Storage::kLatch ? "latch" : s == Storage::kRam ? "ram"
                                                              : "background";
+}
+
+// Campaign-lane instant marker for an event kind; nullptr = none.
+const char* MarkerName(EventKind k) {
+  switch (k) {
+    case EventKind::kTrialRetry: return "trial retry";
+    case EventKind::kTrialQuarantine: return "trial quarantined";
+    case EventKind::kTrialCrash: return "trial crashed";
+    case EventKind::kTrialTimeout: return "trial timeout";
+    case EventKind::kCheckpointFlush: return "checkpoint flush";
+    case EventKind::kCheckpointDisabled: return "checkpoint disabled";
+    case EventKind::kCancelRequested: return "cancelled";
+    default: return nullptr;
+  }
 }
 
 }  // namespace
@@ -325,6 +340,43 @@ void ProgressSink::OnEvent(const Event& e) {
     default:
       break;
   }
+}
+
+// ---------------------------------------------------------------------------
+// ChromeLaneSink
+// ---------------------------------------------------------------------------
+
+ChromeLaneSink::ChromeLaneSink(ChromeTraceWriter& chrome) : chrome_(chrome) {
+  chrome_.SetProcessName(ChromeTraceWriter::kPidPipeline,
+                         "pipeline occupancy (golden run, 1us = 1 cycle)");
+  chrome_.SetProcessName(ChromeTraceWriter::kPidCampaign,
+                         "campaign trials (wall clock)");
+}
+
+void ChromeLaneSink::OnEvent(const Event& e) {
+  if (e.kind == EventKind::kGoldenDone) live_ = true;
+  if (!live_) return;
+  constexpr int kPid = ChromeTraceWriter::kPidCampaign;
+  if (e.kind == EventKind::kTrialDone) {
+    if (named_.insert(e.worker).second)
+      chrome_.SetThreadName(kPid, e.worker,
+                            "trial worker " + std::to_string(e.worker));
+    chrome_.CompleteEvent(OutcomeName(e.outcome), kPid, e.worker,
+                          e.ts_us >= e.dur_us ? e.ts_us - e.dur_us : 0,
+                          e.dur_us,
+                          {{"category", StateCatName(e.cat)},
+                           {"failure_mode", FailureModeName(e.mode)},
+                           {"cycles", std::to_string(e.cycles)}});
+    return;
+  }
+  const char* marker = MarkerName(e.kind);
+  if (marker == nullptr) return;
+  ChromeTraceWriter::Args args;
+  if (e.trial >= 0)
+    args = {{"trial", std::to_string(e.trial)}, {"error", e.detail}};
+  if (e.kind == EventKind::kCheckpointFlush)
+    args = {{"prefix", std::to_string(e.value)}};
+  chrome_.InstantEvent(marker, kPid, e.ts_us, args);
 }
 
 }  // namespace tfsim::obs

@@ -14,9 +14,10 @@
 // is monotone in ts_us). The shipped sinks:
 //   * JsonlEventSink — one JSON object per line after a schema_version
 //     header; the on-disk wire format of `tfi campaign --events-jsonl`.
-//   * ProgressSink   — the `--progress` stderr lines, reimplemented as a
-//     journal consumer (monotonic trials/sec, ETA, final summary line even
-//     on cancellation).
+//   * ProgressSink   — the `--progress` stderr lines (monotonic trials/sec,
+//     ETA, final summary line even on cancellation).
+//   * ChromeLaneSink — the campaign lane of a chrome trace: trial spans and
+//     instant markers for retries, quarantines and checkpoint flushes.
 //
 // Determinism: the journal is pure telemetry. Campaign trial records,
 // classification counts and cache keys are byte-identical with the journal
@@ -30,6 +31,7 @@
 #include <deque>
 #include <mutex>
 #include <ostream>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -38,6 +40,8 @@
 #include "inject/outcome.h"
 
 namespace tfsim::obs {
+
+class ChromeTraceWriter;
 
 enum class EventKind : std::uint8_t {
   kCampaignStart,     // detail=cache key, field=workload, value=planned trials
@@ -74,7 +78,8 @@ struct Event {
   Storage storage = Storage::kLatch;
   std::uint32_t cycles = 0;       // cycles to classification
   std::uint64_t dur_us = 0;       // trial wall time
-  std::string field;              // injected registry field (kTrialDone) or
+  int worker = 0;                 // executing worker (not rendered to JSONL)
+  std::string field{};            // injected registry field (kTrialDone) or
                                   // workload name (kCampaignStart)
   std::uint64_t field_bits = 0;   // injectable bits of that field
   // Propagation latencies joined from the trial's trace when the campaign
@@ -85,7 +90,7 @@ struct Event {
 
   // Generic payload (see the per-kind notes above).
   std::uint64_t value = 0;
-  std::string detail;
+  std::string detail{};
   bool interrupted = false;    // kCampaignFinish only
   std::uint64_t dropped = 0;   // kCampaignFinish only: queue drops this run
 };
@@ -203,6 +208,27 @@ class ProgressSink : public EventSink {
   std::uint64_t done_ = 0;
   std::uint64_t from_cache_ = 0;
   std::array<std::uint64_t, kNumOutcomes> outcomes_{};
+};
+
+// The chrome trace's campaign lane (ChromeTraceWriter::kPidCampaign), drawn
+// from the journal: one span per kTrialDone on its worker's row, starting at
+// ts_us - dur_us on the journal clock, and one instant marker per retry,
+// quarantine, crash, timeout, checkpoint flush, disabled checkpointing or
+// cancellation. Resumed and cached trials emit no kTrialDone and get no
+// span; events shed to backpressure are missing here too. The writer is not
+// thread-safe and the golden run fills the pipeline lane from the campaign
+// thread, so the sink writes nothing before kGoldenDone, which is emitted
+// once golden recording is over.
+class ChromeLaneSink : public EventSink {
+ public:
+  // Names both lanes; call before golden recording starts.
+  explicit ChromeLaneSink(ChromeTraceWriter& chrome);
+  void OnEvent(const Event& e) override;
+
+ private:
+  ChromeTraceWriter& chrome_;
+  bool live_ = false;   // kGoldenDone seen
+  std::set<int> named_;  // worker rows that have a thread name
 };
 
 }  // namespace tfsim::obs

@@ -175,20 +175,6 @@ TEST(Watchdog, RunnerReportsTimedOutWithoutRetrying) {
   EXPECT_EQ(r.quarantined[0].reason, QuarantinedTrial::Reason::kTimeout);
 }
 
-TEST(Watchdog, EnvOverrideArmsTheDeadline) {
-  ::setenv("TFI_TRIAL_TIMEOUT", "45", 1);
-  const CampaignSpec spec = SmallCampaign(3);
-  CampaignOptions opt = QuietLive();  // trial_timeout_ms left at 0
-  opt.trial_fault_hook = [](std::size_t i) {
-    if (i == 1) std::this_thread::sleep_for(std::chrono::milliseconds(110));
-  };
-  const CampaignResult r = RunCampaign(spec, opt);
-  ::unsetenv("TFI_TRIAL_TIMEOUT");
-  ASSERT_EQ(r.quarantined.size(), 1u);
-  EXPECT_EQ(r.quarantined[0].index, 1u);
-  EXPECT_EQ(r.quarantined[0].reason, QuarantinedTrial::Reason::kTimeout);
-}
-
 #ifndef _WIN32
 
 TEST(Isolate, CleanRunMatchesInProcessByteForByte) {

@@ -207,34 +207,6 @@ TEST(CacheV2, RejectsTamperedTruncatedAndPaddedFiles) {
   EXPECT_TRUE(LoadCachedCampaign(spec).has_value());
 }
 
-TEST(CacheV2, ReadsLegacyV1Files) {
-  ScopedCacheDir cache("tfi_test_cache_v1");
-  const CampaignSpec spec = SmallCampaign(3);
-  const CampaignResult r = AwkwardResult(spec);
-
-  // Write the file exactly as the v1 writer did: no checksum, default
-  // stream precision for doubles.
-  fs::create_directories(CacheDir());
-  std::ostringstream os;
-  os << "tfi-cache v1" << '\n' << r.trials.size() << '\n';
-  for (int c = 0; c < kNumStateCats; ++c)
-    os << r.inventory[c].latch_bits << ' ' << r.inventory[c].ram_bits << '\n';
-  os << r.golden_ipc << ' ' << r.golden_bp_accuracy << ' '
-     << r.golden_dcache_misses << '\n';
-  for (const auto& t : r.trials)
-    os << static_cast<int>(t.outcome) << ' ' << static_cast<int>(t.mode)
-       << ' ' << static_cast<int>(t.cat) << ' '
-       << static_cast<int>(t.storage) << ' ' << t.cycles << ' '
-       << t.valid_instrs << ' ' << t.inflight << '\n';
-  WriteRaw(CachePath(spec), os.str());
-
-  const auto loaded = LoadCachedCampaign(spec);
-  ASSERT_TRUE(loaded.has_value());
-  ExpectSameRecords(*loaded, r, r.trials.size());
-  // v1 doubles only promise default precision, not bit-exactness.
-  EXPECT_NEAR(loaded->golden_ipc, r.golden_ipc, 1e-5);
-}
-
 TEST(CacheV2, StoreFailureIsCountedNotSilent) {
   // Point the cache "directory" at a regular file: create_directories and
   // the write both fail, and the failure is observable.

@@ -5,14 +5,20 @@
 // when the campaign is cancelled mid-flight.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <mutex>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "inject/cache.h"
 #include "inject/campaign.h"
+#include "obs/chrome_trace.h"
 #include "obs/events.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
@@ -332,6 +338,91 @@ TEST(Telemetry, CacheHitPathStillBracketsTheJournal) {
   EXPECT_TRUE(saw_hit);
   EXPECT_EQ(events.back().kind, obs::EventKind::kCampaignFinish);
   EXPECT_EQ(events.back().value, 10u);
+
+  std::filesystem::remove_all(dir);
+  ::unsetenv("TFI_CACHE_DIR");
+}
+
+// The chrome campaign lane is drawn from the event journal. A campaign
+// interrupted, then resumed with a chrome writer at --jobs 2 and a retrying
+// fault hook, must show one span per trial that ran (none for the resumed
+// prefix), one marker per journal retry and checkpoint flush, and a thread
+// name on every worker row it used.
+TEST(Telemetry, ChromeLaneDerivesFromTheJournal) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "tfi_test_chrome_lane")
+          .string();
+  ::setenv("TFI_CACHE_DIR", dir.c_str(), 1);
+  std::filesystem::remove_all(dir);
+
+  const CampaignSpec spec = SmallCampaign(30);
+  CancellationToken cancel;
+  CampaignOptions opt;
+  opt.verbose = false;
+  opt.use_cache = false;
+  opt.jobs = 2;
+  opt.checkpoint_every = 4;
+  opt.cancel = &cancel;
+  opt.trial_fault_hook = [&](std::size_t i) {
+    if (i == 11) cancel.Request();
+  };
+  ASSERT_TRUE(RunCampaign(spec, opt).interrupted);
+  const auto ckpt = LoadCampaignCheckpoint(spec);
+  ASSERT_TRUE(ckpt.has_value());
+  const std::size_t resumed = ckpt->size();
+  ASSERT_GT(resumed, 0u);
+
+  obs::ChromeTraceWriter chrome;
+  obs::EventJournal journal;
+  CollectSink collect;
+  journal.AddSink(&collect);
+  opt.cancel = nullptr;
+  opt.obs.sinks.chrome = &chrome;
+  opt.obs.events = &journal;
+  std::atomic<bool> thrown{false};  // the last trial fails its first attempt
+  opt.trial_fault_hook = [&](std::size_t i) {
+    if (i == 29 && !thrown.exchange(true))
+      throw std::runtime_error("transient host fault");
+  };
+  const CampaignResult r = RunCampaign(spec, opt);
+  journal.RemoveSink(&collect);
+  ASSERT_FALSE(r.interrupted);
+  ASSERT_EQ(r.trials.size(), 30u);
+
+  // ChromeTraceWriter writes name, ph, pid, tid, then ts and dur if any;
+  // pid 2 is ChromeTraceWriter::kPidCampaign.
+  std::ostringstream os;
+  chrome.WriteTo(os);
+  const std::string json = os.str();
+  static const std::regex kEvent(
+      R"re(\{"name":"([^"]*)","ph":"(.)","pid":2,"tid":(\d+))re"
+      R"re((,"ts":(\d+))?(,"dur":(\d+))?)re");
+  std::vector<std::pair<std::string, std::string>> markers, expected;
+  std::set<std::string> span_rows, named_rows;
+  std::size_t spans = 0;
+  for (auto it = std::sregex_iterator(json.begin(), json.end(), kEvent);
+       it != std::sregex_iterator(); ++it) {
+    const std::smatch& m = *it;
+    if (m[2] == "X") {
+      ++spans;
+      span_rows.insert(m[3]);
+      EXPECT_FALSE(m[5] == "0" && m[7] == "0") << "phantom span " << m[1];
+    }
+    if (m[2] == "I") markers.emplace_back(m[1], m[5]);
+    if (m[2] == "M" && m[1] == "thread_name") named_rows.insert(m[3]);
+  }
+  EXPECT_EQ(spans, 30u - resumed);
+
+  for (const obs::Event& e : collect.Events()) {
+    if (e.kind == obs::EventKind::kTrialRetry)
+      expected.emplace_back("trial retry", std::to_string(e.ts_us));
+    if (e.kind == obs::EventKind::kCheckpointFlush)
+      expected.emplace_back("checkpoint flush", std::to_string(e.ts_us));
+  }
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(markers, expected);
+  ASSERT_FALSE(span_rows.empty());
+  for (const std::string& row : span_rows) EXPECT_TRUE(named_rows.count(row));
 
   std::filesystem::remove_all(dir);
   ::unsetenv("TFI_CACHE_DIR");

@@ -8,8 +8,9 @@
 //   fuzz --seed-base 1000 --print    # different seed range, echo sources
 //   fuzz --seeds 25 --rob 16 --lq 4 --sq 4   # non-default core geometry
 //
-// TFI_SMOKE_SEEDS overrides --seeds (env wins, like TFI_CHECKPOINT_EVERY),
-// so CI can deepen the pinned `fuzz_smoke` ctest without editing CMake.
+// TFI_SMOKE_SEEDS overrides --seeds (here the env wins over the flag, unlike
+// the TFI_* campaign knobs), so CI can deepen the pinned `fuzz_smoke` ctest
+// without editing CMake.
 //
 // Exit code is the number of failing cases (0 = clean sweep).
 #include <cstdio>

@@ -4,9 +4,9 @@
 // from inside the trial loop, exactly as tfi's SIGINT handler does),
 // verifies a checkpoint journal was flushed, resumes the campaign at a
 // different worker count, and requires the resumed result to be
-// byte-identical to an uninterrupted reference run. The ctest registration
-// forces a tiny checkpoint interval through TFI_CHECKPOINT_EVERY, which
-// overrides CampaignOptions::checkpoint_every on any binary.
+// byte-identical to an uninterrupted reference run. Both runs checkpoint
+// every 7 trials, so the journal is flushed before the interruption as well
+// as at it.
 //
 //   campaign_resume_smoke [workload] [--trials N] [--cancel-at N]
 #include <cstdio>
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   CancellationToken cancel;
   CampaignOptions interrupted = base;
   interrupted.jobs = 2;
-  interrupted.checkpoint_every = 10;  // TFI_CHECKPOINT_EVERY overrides
+  interrupted.checkpoint_every = 7;
   interrupted.cancel = &cancel;
   interrupted.trial_fault_hook = [&cancel, cancel_at](std::size_t i) {
     if (i == static_cast<std::size_t>(cancel_at)) cancel.Request();
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   // the uninterrupted run's.
   CampaignOptions resume = base;
   resume.jobs = 3;
-  resume.checkpoint_every = 10;
+  resume.checkpoint_every = 7;
   const CampaignResult resumed = RunCampaign(spec, resume);
   if (resumed.interrupted) return Fail("resumed run reports interrupted");
   if (resumed.trials.size() != reference.trials.size())

@@ -15,11 +15,12 @@
 //                  [--events-jsonl FILE] (structured campaign event journal)
 //                  [--heatmap-json FILE] [--heatmap-csv FILE] (per-field
 //                  vulnerability heatmap)
-//       resilience: [--checkpoint-every N] (0 disables; SIGINT drains
+//       resilience: [--checkpoint-every N] (default 250, env
+//                   TFI_CHECKPOINT_EVERY; 0 disables; SIGINT drains
 //                   in-flight trials, flushes the checkpoint + partial
 //                   exports, and a rerun resumes from the journal)
 //                   [--trial-timeout MS] (watchdog: hung trials quarantine
-//                   as Trial Error; env TFI_TRIAL_TIMEOUT overrides)
+//                   as Trial Error; default 0 = off, env TFI_TRIAL_TIMEOUT)
 //                   [--isolate-trials] (forked-worker crash containment;
 //                   POSIX only)
 //                   TFI_FAILPOINTS=<spec> arms the chaos failpoints
@@ -97,8 +98,9 @@ struct Args {
   std::int64_t trace = 0;
   std::int64_t flips = 1;
   std::int64_t jobs = 1;
-  std::int64_t checkpoint_every = 250;
-  std::int64_t trial_timeout = 0;  // ms; 0 = no watchdog
+  // Environment defaults; the flags of the same name override them.
+  std::int64_t checkpoint_every = EnvInt("TFI_CHECKPOINT_EVERY", 250);
+  std::int64_t trial_timeout = EnvInt("TFI_TRIAL_TIMEOUT", 0);  // ms; 0 = off
   bool isolate_trials = false;
   std::int64_t window = 0;  // 0 = GoldenSpec default (or TFI_WINDOW)
   bool fast_path = false;   // accepted for symmetry; fast is the default
@@ -142,11 +144,12 @@ ArgParser MakeParser(Args& a) {
   p.AddInt("jobs", &a.jobs,
            "trial-loop worker threads; 0 = all hardware threads (campaign)");
   p.AddInt("checkpoint-every", &a.checkpoint_every,
-           "flush a resume journal every N trials; 0 disables (campaign)");
+           "flush a resume journal every N trials; 0 disables (campaign; "
+           "default 250 or TFI_CHECKPOINT_EVERY)");
   p.AddInt("trial-timeout", &a.trial_timeout,
            "watchdog deadline per trial in ms; hung trials quarantine as "
            "Trial Error instead of stalling a worker; 0 disables (campaign; "
-           "TFI_TRIAL_TIMEOUT overrides)");
+           "default 0 or TFI_TRIAL_TIMEOUT)");
   p.AddFlag("isolate-trials", &a.isolate_trials,
             "run trials in forked worker subprocesses so a crashing trial "
             "is contained, recorded and the campaign continues (campaign; "
