@@ -1,9 +1,12 @@
 // Throughput of the substrate itself (google-benchmark): detailed-core
-// cycles/s, functional-simulator instructions/s, checkpoint save/restore,
-// and whole fault-injection trials/s.
+// cycles/s (base and protected core), ECC decodes/s, functional-simulator
+// instructions/s, checkpoint save/restore, and whole fault-injection
+// trials/s.
 #include <benchmark/benchmark.h>
 
 #include <fstream>
+#include <utility>
+#include <vector>
 
 #include "arch/functional_sim.h"
 #include "inject/campaign.h"
@@ -11,6 +14,7 @@
 #include "obs/metrics.h"
 #include "inject/golden.h"
 #include "inject/trial.h"
+#include "protect/ecc.h"
 #include "uarch/core.h"
 #include "util/rng.h"
 #include "workloads/workloads.h"
@@ -42,6 +46,48 @@ void BM_CoreCycleChecked(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CoreCycleChecked);
+
+// Same loop on the Section 4 protected core (all four mechanisms): every
+// register-file and register-pointer read goes through the ECC codec, and
+// the trial loop's ArchViewHash decodes 32 pointers and 32 entries a cycle.
+void BM_CoreCycleProtected(benchmark::State& state) {
+  CoreConfig cfg;
+  cfg.protect = ProtectionConfig::All();
+  Core core(cfg, GzipProgram());
+  for (auto _ : state) core.Cycle();
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CoreCycleProtected);
+
+// Decode throughput of the two ECC codes over clean codewords, the case
+// nearly every read hits.
+void BM_EccDecodeRegfile(benchmark::State& state) {
+  Rng rng(11);
+  std::vector<std::pair<Word65, std::uint64_t>> words(1024);
+  for (auto& [v, check] : words) {
+    v = {rng.Next(), rng.NextBool(0.5)};
+    check = EncodeRegfileEcc(v);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [v, check] = words[i++ % words.size()];
+    benchmark::DoNotOptimize(DecodeRegfileEcc(v, check));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EccDecodeRegfile);
+
+void BM_EccDecodeRegptr(benchmark::State& state) {
+  std::vector<std::uint64_t> checks(128);
+  for (std::uint64_t p = 0; p < 128; ++p) checks[p] = EncodeRegptrEcc(p);
+  std::uint64_t p = 0;
+  for (auto _ : state) {
+    p = (p + 37) & 0x7F;  // visits every pointer in a scattered order
+    benchmark::DoNotOptimize(DecodeRegptrEcc(p, checks[p]));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EccDecodeRegptr);
 
 void BM_FunctionalStep(benchmark::State& state) {
   FunctionalSim sim(GzipProgram());

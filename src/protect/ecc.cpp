@@ -1,119 +1,121 @@
 #include "protect/ecc.h"
 
+#include <array>
+#include <bit>
+#include <span>
+
 namespace tfsim {
 namespace {
 
-bool DataBit(const Word65& d, int i) {
-  return i < 64 ? ((d.lo >> i) & 1) != 0 : d.hi;
+// Codeword position of each data bit: the non-power-of-two positions 1..n.
+template <int K>
+constexpr std::array<std::uint8_t, K> DataPositions() {
+  std::array<std::uint8_t, K> pos{};
+  for (unsigned i = 0, p = 1; i < K; ++p)
+    if (!std::has_single_bit(p)) pos[i++] = static_cast<std::uint8_t>(p);
+  return pos;
 }
 
-void SetDataBit(Word65& d, int i, bool v) {
-  if (i < 64) {
-    d.lo = (d.lo & ~(1ULL << i)) | (static_cast<std::uint64_t>(v) << i);
+// Data index held at each codeword position 0..n (check positions unused).
+template <int K>
+constexpr auto DataIndexAt() {
+  constexpr auto pos = DataPositions<K>();
+  std::array<std::uint8_t, pos[K - 1] + 1> at{};
+  for (int i = 0; i < K; ++i) at[pos[i]] = static_cast<std::uint8_t>(i);
+  return at;
+}
+
+// mask[c] selects the data bits (of the low 64) whose position has bit c set.
+template <int K, int R>
+constexpr std::array<std::uint64_t, R> CoverMasks() {
+  constexpr auto pos = DataPositions<K>();
+  std::array<std::uint64_t, R> mask{};
+  for (int i = 0; i < K && i < 64; ++i)
+    for (int c = 0; c < R; ++c)
+      if ((pos[i] >> c) & 1) mask[c] |= 1ULL << i;
+  return mask;
+}
+
+// GCC folds popcount & 1 into an inline parity sequence, even without
+// -mpopcnt.
+constexpr std::uint64_t Parity(std::uint64_t x) { return std::popcount(x) & 1; }
+
+constexpr int kRegfileHammingBits = kRegfileEccBits - 1;  // then parity
+constexpr auto kRegfileMasks =
+    CoverMasks<kRegfileDataBits, kRegfileHammingBits>();
+// Data bit 64 sits at position 72, so it feeds exactly the check bits of 72.
+constexpr std::uint64_t kRegfileHiPos = DataPositions<kRegfileDataBits>()[64];
+constexpr auto kRegfileIndexAt = DataIndexAt<kRegfileDataBits>();
+
+constexpr auto kRegptrCheck = [] {
+  constexpr auto mask = CoverMasks<kRegptrDataBits, kRegptrEccBits>();
+  std::array<std::uint8_t, 128> check{};
+  for (std::uint64_t d = 0; d < 128; ++d)
+    for (int c = 0; c < kRegptrEccBits; ++c)
+      check[d] |= static_cast<std::uint8_t>(Parity(d & mask[c]) << c);
+  return check;
+}();
+constexpr auto kRegptrIndexAt = DataIndexAt<kRegptrDataBits>();
+
+// The Hamming check bits of a register-file entry.
+std::uint64_t RegfileHamming(Word65 v) {
+  std::uint64_t h = v.hi ? kRegfileHiPos : 0;
+  for (int c = 0; c < kRegfileHammingBits; ++c)
+    h ^= Parity(v.lo & kRegfileMasks[c]) << c;
+  return h;
+}
+
+// A nonzero syndrome with odd overall parity (or no parity bit): repair the
+// check bit or data bit it names, unless it names no position at all.
+EccDecodeResult RepairPosition(Word65 data, std::uint64_t check,
+                               std::uint64_t syndrome,
+                               std::span<const std::uint8_t> index_at) {
+  EccDecodeResult out{data, check};
+  // A power-of-two syndrome names a check bit; the data is fine. (Not
+  // std::has_single_bit: without -mpopcnt that is a libgcc call.)
+  if ((syndrome & (syndrome - 1)) == 0) {
+    out.check = check ^ syndrome;
+  } else if (syndrome >= index_at.size()) {
+    out.uncorrectable = true;
+    return out;
   } else {
-    d.hi = v;
+    const int di = index_at[syndrome];
+    if (di < 64) out.data.lo ^= 1ULL << di;
+    else out.data.hi = !out.data.hi;
   }
-}
-
-bool IsPow2(int x) { return x > 0 && (x & (x - 1)) == 0; }
-
-// Number of Hamming check bits required for k data bits.
-int HammingBits(int k) {
-  int r = 0;
-  while ((1 << r) < k + r + 1) ++r;
-  return r;
+  out.corrected = true;
+  return out;
 }
 
 }  // namespace
 
-std::uint64_t EccEncode(Word65 data, int k, int r) {
-  const int rh = HammingBits(k);
-  const bool dedp = r > rh;  // extra overall-parity bit
-  const int n = k + rh;      // codeword length (1-indexed positions)
-
-  // Lay data bits into non-power-of-two positions.
-  std::uint64_t check = 0;
-  int di = 0;
-  bool overall = false;
-  for (int pos = 1; pos <= n; ++pos) {
-    if (IsPow2(pos)) continue;
-    const bool bit = DataBit(data, di++);
-    overall ^= bit;
-    if (!bit) continue;
-    // This data bit feeds every check bit whose index divides its position.
-    for (int c = 0; c < rh; ++c)
-      if (pos & (1 << c)) check ^= 1ULL << c;
-  }
-  if (dedp) {
-    // Overall parity covers data + hamming check bits.
-    bool p = overall;
-    for (int c = 0; c < rh; ++c) p ^= ((check >> c) & 1) != 0;
-    check |= static_cast<std::uint64_t>(p) << rh;
-  }
-  return check;
+std::uint64_t EncodeRegfileEcc(Word65 v) {
+  const std::uint64_t h = RegfileHamming(v);
+  return h | (Parity(v.lo) ^ v.hi ^ Parity(h)) << 7;
 }
 
-EccDecodeResult EccDecode(Word65 data, std::uint64_t check, int k, int r) {
-  EccDecodeResult out;
-  out.data = data;
-  out.check = check;
-
-  const int rh = HammingBits(k);
-  const bool dedp = r > rh;
-  const std::uint64_t expected = EccEncode(data, k, rh);  // hamming part only
-  const std::uint64_t stored_h = check & ((1ULL << rh) - 1);
-  const std::uint64_t syndrome = expected ^ stored_h;
-
-  bool overall_mismatch = false;
-  if (dedp) {
-    bool p = false;
-    int di = 0;
-    const int n = k + rh;
-    for (int pos = 1; pos <= n; ++pos) {
-      if (IsPow2(pos)) continue;
-      p ^= DataBit(data, di++);
-    }
-    for (int c = 0; c < rh; ++c) p ^= ((stored_h >> c) & 1) != 0;
-    overall_mismatch = p != (((check >> rh) & 1) != 0);
-  }
-
+EccDecodeResult DecodeRegfileEcc(Word65 v, std::uint64_t check) {
+  const std::uint64_t syndrome = RegfileHamming(v) ^ (check & 0x7F);
+  // Overall parity over the data, the Hamming bits and the parity bit.
+  const bool parity_mismatch = Parity(v.lo) ^ v.hi ^ Parity(check & 0xFF);
   if (syndrome == 0) {
-    if (dedp && overall_mismatch) {
-      // Error in the overall parity bit itself: repair it.
-      out.check = expected | (static_cast<std::uint64_t>(
-                                  !((check >> rh) & 1))
-                              << rh);
-      out.corrected = true;
-    }
-    return out;
+    if (!parity_mismatch) return {v, check};
+    return {v, (check ^ 0x80) & 0xFF, true};  // the parity bit itself flipped
   }
+  // Non-zero syndrome with even overall parity: double error.
+  if (!parity_mismatch) return {v, check, false, true};
+  return RepairPosition(v, check, syndrome, kRegfileIndexAt);
+}
 
-  if (dedp && !overall_mismatch) {
-    // Non-zero syndrome with even overall parity: double error.
-    out.uncorrectable = true;
-    return out;
-  }
+std::uint64_t EncodeRegptrEcc(std::uint64_t ptr) {
+  return kRegptrCheck[ptr & 0x7F];
+}
 
-  const int pos = static_cast<int>(syndrome);
-  if (IsPow2(pos)) {
-    // A check bit flipped; the data is fine. Repair the check bits.
-    int c = 0;
-    while ((1 << c) != pos) ++c;
-    out.check = check ^ (1ULL << c);
-    out.corrected = true;
-    return out;
-  }
-  if (pos > k + rh) {
-    out.uncorrectable = true;  // syndrome names a non-existent position
-    return out;
-  }
-  // Map position back to the data bit index it holds.
-  int di = 0;
-  for (int p = 1; p < pos; ++p)
-    if (!IsPow2(p)) ++di;
-  SetDataBit(out.data, di, !DataBit(out.data, di));
-  out.corrected = true;
-  return out;
+EccDecodeResult DecodeRegptrEcc(std::uint64_t ptr, std::uint64_t check) {
+  ptr &= 0x7F;
+  const std::uint64_t syndrome = kRegptrCheck[ptr] ^ (check & 0xF);
+  if (syndrome == 0) return {{ptr, false}, check};
+  return RepairPosition({ptr, false}, check, syndrome, kRegptrIndexAt);
 }
 
 }  // namespace tfsim

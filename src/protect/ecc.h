@@ -1,15 +1,15 @@
-// Hamming single-error-correcting codes used by the Section 4 protection
-// mechanisms:
-//   * (72,65) SEC-DED for physical register file entries — 8 check bits per
-//     65-bit entry, exactly the paper's overhead ("eight bits for each of
-//     the 80 register file entries").
+// Hamming codes used by the Section 4 protection mechanisms:
+//   * (73,65) SEC-DED for physical register file entries — 8 check bits per
+//     65-bit entry, 7 Hamming plus overall parity, exactly the paper's
+//     overhead ("eight bits for each of the 80 register file entries").
 //   * (11,7) SEC for physical register pointers — 4 check bits per 7-bit
 //     pointer ("4 bits of overhead to each 7 bit register file pointer").
 //
-// The codec is generic over data width k <= 65 using the classic scheme:
-// bit positions 1..n, power-of-two positions hold check bits, check bit p
-// covers every position with bit p set in its index; the syndrome names the
-// corrupted position. An optional overall-parity bit extends SEC to SEC-DED.
+// Classic layout: bit positions 1..n, power-of-two positions hold check
+// bits, data bits fill the rest in order, check bit c covers every position
+// with bit c set, and the syndrome names the corrupted position. The codec
+// is word-parallel: check bit c is the parity of the data under a
+// compile-time cover mask, and (11,7) check bits come from a table.
 #pragma once
 
 #include <cstdint>
@@ -28,11 +28,6 @@ struct Word65 {
   bool operator==(const Word65&) const = default;
 };
 
-// Computes the check bits for `k` data bits (k <= 65) with `r` check bits.
-// When r exceeds the Hamming requirement by one, the extra bit is an overall
-// parity bit (SEC-DED).
-std::uint64_t EccEncode(Word65 data, int k, int r);
-
 struct EccDecodeResult {
   Word65 data;              // possibly corrected data
   std::uint64_t check = 0;  // possibly corrected check bits
@@ -40,23 +35,12 @@ struct EccDecodeResult {
   bool uncorrectable = false;  // double error detected (SEC-DED only)
 };
 
-// Checks and (single-bit) corrects a data/check pair.
-EccDecodeResult EccDecode(Word65 data, std::uint64_t check, int k, int r);
+std::uint64_t EncodeRegfileEcc(Word65 v);
+// Checks and (single-bit) corrects a register-file entry.
+EccDecodeResult DecodeRegfileEcc(Word65 v, std::uint64_t check);
 
-// Convenience wrappers for the two concrete codes.
-inline std::uint64_t EncodeRegfileEcc(Word65 v) {
-  return EccEncode(v, kRegfileDataBits, kRegfileEccBits);
-}
-inline EccDecodeResult DecodeRegfileEcc(Word65 v, std::uint64_t check) {
-  return EccDecode(v, check, kRegfileDataBits, kRegfileEccBits);
-}
-inline std::uint64_t EncodeRegptrEcc(std::uint64_t ptr) {
-  return EccEncode({ptr & 0x7F, false}, kRegptrDataBits, kRegptrEccBits);
-}
-inline EccDecodeResult DecodeRegptrEcc(std::uint64_t ptr,
-                                       std::uint64_t check) {
-  return EccDecode({ptr & 0x7F, false}, check, kRegptrDataBits,
-                   kRegptrEccBits);
-}
+std::uint64_t EncodeRegptrEcc(std::uint64_t ptr);
+// Checks and (single-bit) corrects a register pointer.
+EccDecodeResult DecodeRegptrEcc(std::uint64_t ptr, std::uint64_t check);
 
 }  // namespace tfsim

@@ -8,6 +8,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "inject/cache.h"
@@ -174,21 +175,23 @@ CampaignSpec SmallCampaign(int trials) {
   return spec;
 }
 
+FastpathRig MakeRig(CampaignSpec spec) {
+  FastpathRig r;
+  r.spec = std::move(spec);
+  const Program program =
+      BuildWorkload(WorkloadByName(r.spec.workload), kCampaignIters);
+  Core probe(r.spec.core, program);
+  r.specs = MakeTrialSpecs(
+      r.spec, probe.registry().InjectableBits(r.spec.include_ram));
+  const FastPathPlan plan =
+      PlanFastPath(r.spec.golden, r.specs, probe.registry());
+  r.golden =
+      RecordGolden(r.spec.core, program, r.spec.golden, nullptr, &plan);
+  return r;
+}
+
 const FastpathRig& Rig() {
-  static const FastpathRig rig = [] {
-    FastpathRig r;
-    r.spec = SmallCampaign(160);
-    const Program program =
-        BuildWorkload(WorkloadByName(r.spec.workload), kCampaignIters);
-    Core probe(r.spec.core, program);
-    r.specs = MakeTrialSpecs(
-        r.spec, probe.registry().InjectableBits(r.spec.include_ram));
-    const FastPathPlan plan =
-        PlanFastPath(r.spec.golden, r.specs, probe.registry());
-    r.golden = RecordGolden(r.spec.core, program, r.spec.golden, nullptr,
-                            &plan);
-    return r;
-  }();
+  static const FastpathRig rig = MakeRig(SmallCampaign(160));
   return rig;
 }
 
@@ -210,16 +213,20 @@ std::string TraceRow(const obs::PropagationTrace& tr, const std::string& wl,
   return os.str();
 }
 
-// Every record and every propagation trace must be byte-identical between
-// the two execution policies, over a population that exercises shortcut
-// Matches, latent Grays, and read-forced fallbacks.
-TEST(TrialFastPath, RecordsAndTracesByteIdenticalToSlowPath) {
-  const FastpathRig& rig = Rig();
+struct ShortcutCounts {
+  int shortcut = 0;
+  int match_late = 0;
+  int gray_latent = 0;
+};
+
+// Runs every trial of `rig` on both execution policies, expects identical
+// records and propagation traces, and counts the shortcut's verdicts.
+ShortcutCounts CompareFastAndSlow(const FastpathRig& rig) {
   TrialRunner fast(rig.golden);
   TrialPolicy slow_policy;
   slow_policy.fast_path = false;
   TrialRunner slow(rig.golden, slow_policy);
-  int shortcut = 0, match_late = 0, gray_latent = 0;
+  ShortcutCounts n;
   for (std::size_t i = 0; i < rig.specs.size(); ++i) {
     const TrialRunner::Result f = fast.Run(rig.specs[i], /*want_trace=*/true);
     const TrialRunner::Result s = slow.Run(rig.specs[i], /*want_trace=*/true);
@@ -229,22 +236,44 @@ TEST(TrialFastPath, RecordsAndTracesByteIdenticalToSlowPath) {
               TraceRow(s.trace, rig.spec.workload, i))
         << "trial " << i;
     if (!f.fast) continue;
-    ++shortcut;
+    ++n.shortcut;
     if (f.record.outcome == Outcome::kMicroArchMatch && f.record.cycles > 1)
-      ++match_late;
+      ++n.match_late;
     if (f.record.outcome == Outcome::kGrayArea) {
       EXPECT_EQ(f.record.cycles, rig.spec.golden.window);
-      ++gray_latent;
+      ++n.gray_latent;
     }
   }
+  return n;
+}
+
+// Every record and every propagation trace must be byte-identical between
+// the two execution policies, over a population that exercises shortcut
+// Matches, latent Grays, and read-forced fallbacks.
+TEST(TrialFastPath, RecordsAndTracesByteIdenticalToSlowPath) {
+  const ShortcutCounts n = CompareFastAndSlow(Rig());
   // The population must actually exercise the shortcut's verdicts, or this
   // test proves nothing. The exact counts are pinned: a pipeline read or
   // write the first-access tracker gains or loses moves trials between the
   // shortcut and simulation without changing any record, so only these
   // counts catch it.
-  EXPECT_EQ(shortcut, 91);
-  EXPECT_EQ(match_late, 55);
-  EXPECT_EQ(gray_latent, 28);
+  EXPECT_EQ(n.shortcut, 91);
+  EXPECT_EQ(n.match_late, 55);
+  EXPECT_EQ(n.gray_latent, 28);
+}
+
+// The same pin on the fully protected core, whose ECC read and scrub paths
+// (pointer reads, register-file reads, the corrected architectural view)
+// feed the first-access tracker through the codec. A codec that repaired,
+// scrubbed or flagged a word differently would change a record or trace,
+// or move these counts.
+TEST(TrialFastPath, ProtectedCoreRecordsAndTracesByteIdenticalToSlowPath) {
+  CampaignSpec spec = SmallCampaign(160);
+  spec.core.protect = ProtectionConfig::All();
+  const ShortcutCounts n = CompareFastAndSlow(MakeRig(spec));
+  EXPECT_EQ(n.shortcut, 92);
+  EXPECT_EQ(n.match_late, 65);
+  EXPECT_EQ(n.gray_latent, 20);
 }
 
 // The cutoff may only fire at *full* re-convergence. A shortcut Match at
