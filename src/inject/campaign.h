@@ -83,8 +83,9 @@ struct CampaignOptions {
   // data during the golden run, then start trials at their injection point
   // and classify provably convergent/latent trials without simulating.
   // Results are byte-identical to the slow path (pinned by
-  // tests/test_fastpath.cpp and the fastpath_ab_smoke ctest), so this is
-  // pure execution policy and is NOT part of the CacheKey. Checked runs
+  // tests/test_fastpath.cpp and the PathEquivalence matrix in
+  // tests/test_paths.cpp), so this is pure execution policy and is NOT part
+  // of the CacheKey. Checked runs
   // (check_invariants) always take the slow path.
   bool fast_path = true;
   // Re-attempts for a trial whose execution throws before it is quarantined

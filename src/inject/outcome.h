@@ -53,6 +53,8 @@ struct TrialRecord {
   std::uint32_t cycles = 0;           // cycles until classification
   std::uint32_t valid_instrs = 0;     // Figure 6 x-axis at injection time
   std::uint32_t inflight = 0;         // raw occupancy at injection time
+
+  bool operator==(const TrialRecord&) const = default;
 };
 
 }  // namespace tfsim

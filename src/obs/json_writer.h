@@ -60,8 +60,8 @@ class JsonWriter {
 // Minimal recursive-descent JSON validator (objects, arrays, strings with
 // escapes, numbers, true/false/null). Returns true when `text` is exactly
 // one valid JSON value; on failure, fills `*error` (if non-null) with a
-// byte-offset diagnostic. Used by tests and the campaign smoke checker in
-// place of an external `python3 -m json.tool` dependency.
+// byte-offset diagnostic. Used by tests in place of an external
+// `python3 -m json.tool` dependency.
 bool JsonLint(std::string_view text, std::string* error = nullptr);
 
 }  // namespace tfsim::obs

@@ -15,8 +15,8 @@
 //   fail::ConfigureFromEnv();   // reads TFI_FAILPOINTS (the spec syntax)
 //
 // Activation is strictly opt-in: the library never reads TFI_FAILPOINTS on
-// its own — only binaries that call ConfigureFromEnv() (tfi, chaos_smoke)
-// or tests that call Configure() arm the engine. When no site is configured,
+// its own — only binaries that call ConfigureFromEnv() (tfi) or tests that
+// call Configure()/ConfigureFromSpec() arm the engine. When no site is configured,
 // FailHere is a single relaxed atomic load — unmeasurable on the campaign
 // hot path (the <0.5% BM_CampaignTrialsFast budget).
 //

@@ -1,47 +1,29 @@
 // The parallel campaign engine's defining property: `jobs` is an execution
 // knob, never a results knob. Trial records, propagation traces and the
 // deterministic portion of the metrics export must be byte-identical at
-// every worker count.
+// every worker count (test_paths.cpp crosses worker counts with the other
+// execution paths).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <filesystem>
 #include <sstream>
+#include <string>
 
+#include "campaign_fixture.h"
 #include "inject/campaign.h"
 #include "obs/metrics.h"
+#include "obs/prop_trace.h"
 #include "uarch/core.h"
 #include "workloads/workloads.h"
 
 namespace tfsim {
 namespace {
 
-GoldenSpec SmallSpec() {
-  GoldenSpec gs;
-  gs.warmup = 12000;
-  gs.points = 3;
-  gs.spacing = 500;
-  gs.window = 4000;
-  gs.slack = 1000;
-  return gs;
-}
-
-CampaignSpec SmallCampaign(int trials) {
-  CampaignSpec spec;
-  spec.workload = "gzip";
-  spec.trials = trials;
-  spec.golden = SmallSpec();
-  return spec;
-}
-
-// Runs the campaign live (no cache) with `jobs` workers, metrics attached
-// and propagation tracing on.
+// Runs the campaign live with `jobs` workers, metrics attached and
+// propagation tracing on.
 CampaignResult RunLive(const CampaignSpec& spec, int jobs,
-                   obs::MetricsRegistry* metrics) {
-  CampaignOptions opt;
+                       obs::MetricsRegistry* metrics) {
+  CampaignOptions opt = QuietLive();
   opt.jobs = jobs;
-  opt.verbose = false;
-  opt.use_cache = false;
   opt.obs.sinks.metrics = metrics;
   opt.obs.collect_prop_traces = true;
   return RunCampaign(spec, opt);
@@ -53,6 +35,13 @@ std::string DeterministicJson(const obs::MetricsRegistry& m) {
   return os.str();
 }
 
+std::string TraceRows(const CampaignResult& r) {
+  std::ostringstream os;
+  for (std::size_t i = 0; i < r.prop_traces.size(); ++i)
+    obs::WritePropTraceRow(r.prop_traces[i], r.spec.workload, i, os);
+  return os.str();
+}
+
 TEST(CampaignParallel, JobsDoNotChangeResultsOrMetrics) {
   const CampaignSpec spec = SmallCampaign(40);
   obs::MetricsRegistry m1, m4;
@@ -60,30 +49,12 @@ TEST(CampaignParallel, JobsDoNotChangeResultsOrMetrics) {
   const CampaignResult r4 = RunLive(spec, 4, &m4);
 
   ASSERT_EQ(r1.trials.size(), 40u);
-  ASSERT_EQ(r1.trials.size(), r4.trials.size());
-  for (std::size_t i = 0; i < r1.trials.size(); ++i) {
-    EXPECT_EQ(r1.trials[i].outcome, r4.trials[i].outcome) << "trial " << i;
-    EXPECT_EQ(r1.trials[i].mode, r4.trials[i].mode) << "trial " << i;
-    EXPECT_EQ(r1.trials[i].cat, r4.trials[i].cat) << "trial " << i;
-    EXPECT_EQ(r1.trials[i].storage, r4.trials[i].storage) << "trial " << i;
-    EXPECT_EQ(r1.trials[i].cycles, r4.trials[i].cycles) << "trial " << i;
-    EXPECT_EQ(r1.trials[i].valid_instrs, r4.trials[i].valid_instrs);
-    EXPECT_EQ(r1.trials[i].inflight, r4.trials[i].inflight);
-  }
+  EXPECT_EQ(r1.trials, r4.trials);
   EXPECT_EQ(r1.ByOutcome(), r4.ByOutcome());
   EXPECT_EQ(r1.ByFailureMode(), r4.ByFailureMode());
   EXPECT_EQ(r1.spec.CacheKey(), r4.spec.CacheKey());
-
-  ASSERT_EQ(r1.prop_traces.size(), r4.prop_traces.size());
-  for (std::size_t i = 0; i < r1.prop_traces.size(); ++i) {
-    EXPECT_EQ(r1.prop_traces[i].field, r4.prop_traces[i].field);
-    EXPECT_EQ(r1.prop_traces[i].first_spread_cycle,
-              r4.prop_traces[i].first_spread_cycle);
-    EXPECT_EQ(r1.prop_traces[i].arch_divergence_cycle,
-              r4.prop_traces[i].arch_divergence_cycle);
-    EXPECT_EQ(r1.prop_traces[i].cats_touched_mask,
-              r4.prop_traces[i].cats_touched_mask);
-  }
+  ASSERT_EQ(r1.prop_traces.size(), 40u);
+  EXPECT_EQ(TraceRows(r1), TraceRows(r4));
 
   // Counters and histograms (Welford summaries included) must match to the
   // byte; only wall-clock timers are excluded from the deterministic export.
@@ -116,11 +87,7 @@ TEST(CampaignParallel, TrialSpecsDependOnlyOnCampaignSpec) {
 }
 
 TEST(CampaignParallel, CacheHitIsCountedAndReplaysCampaignCounters) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "tfi_test_cache_par").string();
-  ::setenv("TFI_CACHE_DIR", dir.c_str(), 1);
-  std::filesystem::remove_all(dir);
-
+  ScopedCacheDir cache("tfi_test_cache_par");
   const CampaignSpec spec = SmallCampaign(15);
   CampaignOptions warm;
   warm.verbose = false;
@@ -143,9 +110,6 @@ TEST(CampaignParallel, CacheHitIsCountedAndReplaysCampaignCounters) {
                                   OutcomeName(static_cast<Outcome>(o)))
                       .value();
   EXPECT_EQ(by_outcome, 15u);
-
-  std::filesystem::remove_all(dir);
-  ::unsetenv("TFI_CACHE_DIR");
 }
 
 TEST(CampaignParallel, MergeAggregatesGoldenStatsAndChecksCompatibility) {

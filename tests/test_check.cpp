@@ -5,10 +5,9 @@
 // Error and bypass the results cache.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <filesystem>
 #include <string>
 
+#include "campaign_fixture.h"
 #include "check/invariants.h"
 #include "inject/campaign.h"
 #include "obs/metrics.h"
@@ -20,7 +19,6 @@
 namespace tfsim {
 namespace {
 
-namespace fs = std::filesystem;
 using check::InvariantChecker;
 using check::InvariantKind;
 
@@ -221,22 +219,6 @@ TEST(InvariantChecker, DetectionIsSameCycleAndCounted) {
 
 // --- checked campaigns -----------------------------------------------------
 
-class ScopedCacheDir {
- public:
-  explicit ScopedCacheDir(const std::string& name)
-      : dir_((fs::temp_directory_path() / name).string()) {
-    fs::remove_all(dir_);
-    ::setenv("TFI_CACHE_DIR", dir_.c_str(), 1);
-  }
-  ~ScopedCacheDir() {
-    fs::remove_all(dir_);
-    ::unsetenv("TFI_CACHE_DIR");
-  }
-
- private:
-  std::string dir_;
-};
-
 CampaignSpec SmallLatchCampaign() {
   CampaignSpec spec;
   spec.workload = "gzip";
@@ -295,9 +277,7 @@ TEST(CheckedCampaign, QuarantinesStructuralViolationsAndBypassesCache) {
   opt2.obs.sinks.metrics = &metrics2;
   const CampaignResult r2 = RunCampaign(spec, opt2);
   EXPECT_EQ(metrics2.GetCounter("campaign.cache.hits").value(), 0u);
-  ASSERT_EQ(r2.trials.size(), r.trials.size());
-  for (std::size_t i = 0; i < r.trials.size(); ++i)
-    EXPECT_EQ(r2.trials[i].outcome, r.trials[i].outcome) << "trial " << i;
+  EXPECT_EQ(r2.trials, r.trials);
   EXPECT_EQ(r2.quarantined.size(), r.quarantined.size());
 
   // The same spec unchecked classifies every trial normally — quarantine is
@@ -312,7 +292,7 @@ TEST(CheckedCampaign, QuarantinesStructuralViolationsAndBypassesCache) {
   // checker (observation never changes behaviour).
   for (std::size_t i = 0; i < r.trials.size(); ++i) {
     if (r.trials[i].outcome == Outcome::kTrialError) continue;
-    EXPECT_EQ(r3.trials[i].outcome, r.trials[i].outcome) << "trial " << i;
+    EXPECT_EQ(r3.trials[i], r.trials[i]) << "trial " << i;
   }
 }
 

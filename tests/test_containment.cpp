@@ -8,14 +8,11 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
-#include <filesystem>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
+#include "campaign_fixture.h"
 #include "inject/cache.h"
 #include "inject/campaign.h"
 #include "inject/isolate.h"
@@ -25,85 +22,16 @@
 namespace tfsim {
 namespace {
 
-namespace fs = std::filesystem;
-
-class ScopedCacheDir {
- public:
-  explicit ScopedCacheDir(const std::string& name)
-      : dir_((fs::temp_directory_path() / name).string()) {
-    fs::remove_all(dir_);
-    ::setenv("TFI_CACHE_DIR", dir_.c_str(), 1);
-  }
-  ~ScopedCacheDir() {
-    fs::remove_all(dir_);
-    ::unsetenv("TFI_CACHE_DIR");
-  }
-
- private:
-  std::string dir_;
-};
-
-CampaignSpec SmallCampaign(int trials) {
-  CampaignSpec spec;
-  spec.workload = "gzip";
-  spec.trials = trials;
-  spec.golden.warmup = 12000;
-  spec.golden.points = 3;
-  spec.golden.spacing = 500;
-  spec.golden.window = 4000;
-  spec.golden.slack = 1000;
-  return spec;
-}
-
-CampaignOptions QuietLive() {
-  CampaignOptions opt;
-  opt.verbose = false;
-  opt.use_cache = false;
-  return opt;
-}
-
+// Expects every record of `a` to equal `b`'s, except at the indices in
+// `skip` (the quarantined trials).
 void ExpectSameSurvivors(const CampaignResult& a, const CampaignResult& b,
                          const std::vector<std::size_t>& skip = {}) {
   ASSERT_EQ(a.trials.size(), b.trials.size());
   for (std::size_t i = 0; i < a.trials.size(); ++i) {
     if (std::find(skip.begin(), skip.end(), i) != skip.end()) continue;
-    EXPECT_EQ(a.trials[i].outcome, b.trials[i].outcome) << "trial " << i;
-    EXPECT_EQ(a.trials[i].mode, b.trials[i].mode) << "trial " << i;
-    EXPECT_EQ(a.trials[i].cat, b.trials[i].cat) << "trial " << i;
-    EXPECT_EQ(a.trials[i].storage, b.trials[i].storage) << "trial " << i;
-    EXPECT_EQ(a.trials[i].cycles, b.trials[i].cycles) << "trial " << i;
-    EXPECT_EQ(a.trials[i].valid_instrs, b.trials[i].valid_instrs) << i;
-    EXPECT_EQ(a.trials[i].inflight, b.trials[i].inflight) << i;
+    EXPECT_EQ(a.trials[i], b.trials[i]) << "trial " << i;
   }
 }
-
-// A kTrialDone payload minus its wall time: trial, outcome, mode, category,
-// storage, field, field_bits, cycles.
-using TrialDonePayload =
-    std::tuple<std::int64_t, Outcome, FailureMode, StateCat, Storage,
-               std::string, std::uint64_t, std::uint32_t>;
-
-// Collects kTrialDone payloads on the journal's drain thread.
-class TrialDoneSink : public obs::EventSink {
- public:
-  void OnEvent(const obs::Event& e) override {
-    if (e.kind != obs::EventKind::kTrialDone) return;
-    std::lock_guard<std::mutex> lock(mu_);
-    payloads_.emplace_back(e.trial, e.outcome, e.mode, e.cat, e.storage,
-                           e.field, e.field_bits, e.cycles);
-  }
-  // Sorted by trial index; call after RunCampaign returned (it flushes).
-  std::vector<TrialDonePayload> Sorted() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<TrialDonePayload> out = payloads_;
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::vector<TrialDonePayload> payloads_;
-};
 
 // Runs `opt` with a journal attached and returns the result plus its
 // kTrialDone payloads sorted by trial index.
@@ -187,7 +115,7 @@ TEST(Isolate, CleanRunMatchesInProcessByteForByte) {
     opt.jobs = jobs;
     std::vector<TrialDonePayload> in_process;
     const CampaignResult local = RunWithTrialDone(spec, opt, &in_process);
-    ExpectSameSurvivors(local, reference);
+    EXPECT_EQ(local.trials, reference.trials) << "jobs=" << jobs;
 
     opt.isolate_trials = true;
     std::vector<TrialDonePayload> isolated;
@@ -196,7 +124,7 @@ TEST(Isolate, CleanRunMatchesInProcessByteForByte) {
     EXPECT_FALSE(r.containment_exhausted);
     EXPECT_EQ(r.worker_restarts, 0u);
     EXPECT_TRUE(r.quarantined.empty());
-    ExpectSameSurvivors(r, reference);
+    EXPECT_EQ(r.trials, reference.trials) << "jobs=" << jobs;
 
     // Both executors report through one completion path, so the journal's
     // per-trial payloads agree exactly, one per trial.

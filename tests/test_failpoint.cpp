@@ -1,7 +1,8 @@
 // The failpoint chaos engine (util/failpoint.h) and the graceful-degradation
 // contracts it exists to prove: every durability seam (atomic writes, cache
 // stores, checkpoint flushes, JSONL sinks) absorbs injected I/O failure
-// without changing trial records or aborting the campaign.
+// without changing trial records or aborting the campaign. The Chaos cells
+// of test_paths.cpp arm every seam at once on each execution path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +12,7 @@
 #include <sstream>
 #include <thread>
 
+#include "campaign_fixture.h"
 #include "inject/cache.h"
 #include "inject/campaign.h"
 #include "obs/events.h"
@@ -22,61 +24,6 @@ namespace tfsim {
 namespace {
 
 namespace fs = std::filesystem;
-
-// Every test leaves the global registry clean for the rest of the suite.
-struct FailpointGuard {
-  FailpointGuard() { fail::Reset(); }
-  ~FailpointGuard() { fail::Reset(); }
-};
-
-class ScopedCacheDir {
- public:
-  explicit ScopedCacheDir(const std::string& name)
-      : dir_((fs::temp_directory_path() / name).string()) {
-    fs::remove_all(dir_);
-    ::setenv("TFI_CACHE_DIR", dir_.c_str(), 1);
-  }
-  ~ScopedCacheDir() {
-    fs::remove_all(dir_);
-    ::unsetenv("TFI_CACHE_DIR");
-  }
-  const std::string& dir() const { return dir_; }
-
- private:
-  std::string dir_;
-};
-
-CampaignSpec SmallCampaign(int trials) {
-  CampaignSpec spec;
-  spec.workload = "gzip";
-  spec.trials = trials;
-  spec.golden.warmup = 12000;
-  spec.golden.points = 3;
-  spec.golden.spacing = 500;
-  spec.golden.window = 4000;
-  spec.golden.slack = 1000;
-  return spec;
-}
-
-CampaignOptions QuietLive() {
-  CampaignOptions opt;
-  opt.verbose = false;
-  opt.use_cache = false;
-  return opt;
-}
-
-void ExpectSameRecords(const CampaignResult& a, const CampaignResult& b) {
-  ASSERT_EQ(a.trials.size(), b.trials.size());
-  for (std::size_t i = 0; i < a.trials.size(); ++i) {
-    EXPECT_EQ(a.trials[i].outcome, b.trials[i].outcome) << "trial " << i;
-    EXPECT_EQ(a.trials[i].mode, b.trials[i].mode) << "trial " << i;
-    EXPECT_EQ(a.trials[i].cat, b.trials[i].cat) << "trial " << i;
-    EXPECT_EQ(a.trials[i].storage, b.trials[i].storage) << "trial " << i;
-    EXPECT_EQ(a.trials[i].cycles, b.trials[i].cycles) << "trial " << i;
-    EXPECT_EQ(a.trials[i].valid_instrs, b.trials[i].valid_instrs);
-    EXPECT_EQ(a.trials[i].inflight, b.trials[i].inflight);
-  }
-}
 
 TEST(Failpoint, DisarmedProbeNeverFires) {
   FailpointGuard guard;
@@ -248,7 +195,7 @@ TEST(Failpoint, CampaignSurvivesDurabilityChaosWithIdenticalRecords) {
   opt.checkpoint_every = 3;
   const CampaignResult chaotic = RunCampaign(spec, opt);
   EXPECT_FALSE(chaotic.interrupted);
-  ExpectSameRecords(chaotic, reference);
+  EXPECT_EQ(chaotic.trials, reference.trials);
 }
 
 TEST(Failpoint, CheckpointFlushFailureDisablesJournalingOnce) {
@@ -283,7 +230,7 @@ TEST(Failpoint, CheckpointFlushFailureDisablesJournalingOnce) {
   EXPECT_EQ(sink.disabled.load(), 1);
   EXPECT_EQ(sink.flushes.load(), 0);
   EXPECT_FALSE(r.interrupted);
-  ExpectSameRecords(r, reference);
+  EXPECT_EQ(r.trials, reference.trials);
   EXPECT_FALSE(fs::exists(CampaignCheckpointPath(spec)));
 }
 

@@ -3,7 +3,6 @@
 // byte-identity with the slow path — the fast path is pure execution policy.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -11,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "campaign_fixture.h"
 #include "inject/cache.h"
 #include "inject/campaign.h"
 #include "inject/report.h"
@@ -163,15 +163,11 @@ struct FastpathRig {
   std::vector<TrialSpec> specs;
 };
 
-CampaignSpec SmallCampaign(int trials) {
-  CampaignSpec spec;
-  spec.workload = "gzip";
-  spec.trials = trials;
-  spec.golden.warmup = 12000;
-  spec.golden.points = 3;
-  spec.golden.spacing = 500;
+// The pinned shortcut counts below (91/55/28 and 92/65/20) depend on this
+// 2500-cycle window.
+CampaignSpec FastpathCampaign(int trials) {
+  CampaignSpec spec = SmallCampaign(trials);
   spec.golden.window = 2500;
-  spec.golden.slack = 1000;
   return spec;
 }
 
@@ -191,19 +187,8 @@ FastpathRig MakeRig(CampaignSpec spec) {
 }
 
 const FastpathRig& Rig() {
-  static const FastpathRig rig = MakeRig(SmallCampaign(160));
+  static const FastpathRig rig = MakeRig(FastpathCampaign(160));
   return rig;
-}
-
-void ExpectSameRecord(const TrialRecord& f, const TrialRecord& s,
-                      std::size_t i) {
-  EXPECT_EQ(f.outcome, s.outcome) << "trial " << i;
-  EXPECT_EQ(f.mode, s.mode) << "trial " << i;
-  EXPECT_EQ(f.cat, s.cat) << "trial " << i;
-  EXPECT_EQ(f.storage, s.storage) << "trial " << i;
-  EXPECT_EQ(f.cycles, s.cycles) << "trial " << i;
-  EXPECT_EQ(f.valid_instrs, s.valid_instrs) << "trial " << i;
-  EXPECT_EQ(f.inflight, s.inflight) << "trial " << i;
 }
 
 std::string TraceRow(const obs::PropagationTrace& tr, const std::string& wl,
@@ -231,7 +216,7 @@ ShortcutCounts CompareFastAndSlow(const FastpathRig& rig) {
     const TrialRunner::Result f = fast.Run(rig.specs[i], /*want_trace=*/true);
     const TrialRunner::Result s = slow.Run(rig.specs[i], /*want_trace=*/true);
     EXPECT_FALSE(s.fast);
-    ExpectSameRecord(f.record, s.record, i);
+    EXPECT_EQ(f.record, s.record) << "trial " << i;
     EXPECT_EQ(TraceRow(f.trace, rig.spec.workload, i),
               TraceRow(s.trace, rig.spec.workload, i))
         << "trial " << i;
@@ -268,7 +253,7 @@ TEST(TrialFastPath, RecordsAndTracesByteIdenticalToSlowPath) {
 // scrubbed or flagged a word differently would change a record or trace,
 // or move these counts.
 TEST(TrialFastPath, ProtectedCoreRecordsAndTracesByteIdenticalToSlowPath) {
-  CampaignSpec spec = SmallCampaign(160);
+  CampaignSpec spec = FastpathCampaign(160);
   spec.core.protect = ProtectionConfig::All();
   const ShortcutCounts n = CompareFastAndSlow(MakeRig(spec));
   EXPECT_EQ(n.shortcut, 92);
@@ -315,23 +300,10 @@ TEST(TrialFastPath, ConvergenceCutoffFiresAtExactConvergenceCycle) {
 // flips revisiting a bit) — the shortcut must wait for the *last* divergent
 // word and still agree with the slow path byte-for-byte.
 TEST(TrialFastPath, MultiFlipBurstsByteIdentical) {
-  CampaignSpec spec = SmallCampaign(48);
+  CampaignSpec spec = FastpathCampaign(48);
   spec.flips = 3;
   spec.adjacent = true;
-  const Program program =
-      BuildWorkload(WorkloadByName(spec.workload), kCampaignIters);
-  Core probe(spec.core, program);
-  const std::vector<TrialSpec> specs =
-      MakeTrialSpecs(spec, probe.registry().InjectableBits(spec.include_ram));
-  const FastPathPlan plan = PlanFastPath(spec.golden, specs, probe.registry());
-  const auto golden =
-      RecordGolden(spec.core, program, spec.golden, nullptr, &plan);
-  TrialRunner fast(golden);
-  TrialPolicy slow_policy;
-  slow_policy.fast_path = false;
-  TrialRunner slow(golden, slow_policy);
-  for (std::size_t i = 0; i < specs.size(); ++i)
-    ExpectSameRecord(fast.Run(specs[i]).record, slow.Run(specs[i]).record, i);
+  CompareFastAndSlow(MakeRig(spec));
 }
 
 // Non-default geometry: the fast path plans over the registry's live word
@@ -339,36 +311,19 @@ TEST(TrialFastPath, MultiFlipBurstsByteIdentical) {
 // different word count). Fast and slow paths must stay byte-identical on a
 // shape nothing in the defaults exercises.
 TEST(TrialFastPath, NonDefaultGeometryByteIdentical) {
-  CampaignSpec spec = SmallCampaign(48);
+  CampaignSpec spec = FastpathCampaign(48);
   spec.core.rob_entries = 16;
   spec.core.lq_entries = 8;
   spec.core.sq_entries = 8;
   spec.core.phys_regs = 48;
-  const Program program =
-      BuildWorkload(WorkloadByName(spec.workload), kCampaignIters);
-  Core probe(spec.core, program);
-  const std::vector<TrialSpec> specs =
-      MakeTrialSpecs(spec, probe.registry().InjectableBits(spec.include_ram));
-  const FastPathPlan plan = PlanFastPath(spec.golden, specs, probe.registry());
-  const auto golden =
-      RecordGolden(spec.core, program, spec.golden, nullptr, &plan);
-  TrialRunner fast(golden);
-  TrialPolicy slow_policy;
-  slow_policy.fast_path = false;
-  TrialRunner slow(golden, slow_policy);
-  int shortcut = 0;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const TrialRunner::Result f = fast.Run(specs[i]);
-    ExpectSameRecord(f.record, slow.Run(specs[i]).record, i);
-    if (f.fast) ++shortcut;
-  }
-  EXPECT_GT(shortcut, 0) << "the reshaped core never took the fast path";
+  EXPECT_GT(CompareFastAndSlow(MakeRig(spec)).shortcut, 0)
+      << "the reshaped core never took the fast path";
 }
 
 // Golden runs recorded without a fast-path plan (fuzz harness, ad-hoc
 // tools) must silently take the slow path even when the policy allows fast.
 TEST(TrialFastPath, NoPlanMeansSlowPath) {
-  const CampaignSpec spec = SmallCampaign(8);
+  const CampaignSpec spec = FastpathCampaign(8);
   const Program program =
       BuildWorkload(WorkloadByName(spec.workload), kCampaignIters);
   const auto golden = RecordGolden(spec.core, program, spec.golden);
@@ -382,7 +337,7 @@ TEST(TrialFastPath, NoPlanMeansSlowPath) {
 
 // A changed observation window must never alias cached results.
 TEST(TrialFastPath, WindowIsPartOfTheCacheKey) {
-  CampaignSpec a = SmallCampaign(40);
+  CampaignSpec a = FastpathCampaign(40);
   CampaignSpec b = a;
   b.golden.window += 1;
   EXPECT_NE(a.CacheKey(), b.CacheKey());
@@ -390,19 +345,17 @@ TEST(TrialFastPath, WindowIsPartOfTheCacheKey) {
 
 // Whole-campaign A/B at jobs 1 and 4: outcome distributions, metrics JSON
 // (timer-less export is byte-deterministic), propagation traces and heatmap
-// exports — the knobs fastpath_ab_smoke checks plus the metrics registry.
+// exports, on the 2500-cycle window the shortcut pins above run on.
 TEST(TrialFastPath, CampaignDistributionsMetricsAndHeatmapsIdentical) {
-  const CampaignSpec spec = SmallCampaign(40);
+  const CampaignSpec spec = FastpathCampaign(40);
   struct Out {
     CampaignResult result;
     std::string metrics;
   };
   const auto run = [&](bool fast_path, int jobs) {
     obs::MetricsRegistry metrics;
-    CampaignOptions opt;
+    CampaignOptions opt = QuietLive();
     opt.jobs = jobs;
-    opt.verbose = false;
-    opt.use_cache = false;
     opt.fast_path = fast_path;
     opt.obs.collect_prop_traces = true;
     opt.obs.sinks.metrics = &metrics;
@@ -412,11 +365,16 @@ TEST(TrialFastPath, CampaignDistributionsMetricsAndHeatmapsIdentical) {
     out.metrics = os.str();
     return out;
   };
+  // A fixed generated_at stamp: the two exports must not differ just
+  // because they were written on either side of a second boundary.
+  const auto heatmap = [&](const CampaignResult& r) {
+    std::ostringstream os;
+    BuildHeatmap(r).WriteJson(os, spec.workload, "2026-01-01T00:00:00Z");
+    return os.str();
+  };
   const Out slow1 = run(/*fast_path=*/false, /*jobs=*/1);
   for (const Out& f : {run(true, 1), run(true, 4)}) {
-    ASSERT_EQ(f.result.trials.size(), slow1.result.trials.size());
-    for (std::size_t i = 0; i < f.result.trials.size(); ++i)
-      ExpectSameRecord(f.result.trials[i], slow1.result.trials[i], i);
+    EXPECT_EQ(f.result.trials, slow1.result.trials);
     EXPECT_EQ(f.result.ByOutcome(), slow1.result.ByOutcome());
     EXPECT_EQ(f.result.ByFailureMode(), slow1.result.ByFailureMode());
     EXPECT_EQ(f.metrics, slow1.metrics);
@@ -424,10 +382,7 @@ TEST(TrialFastPath, CampaignDistributionsMetricsAndHeatmapsIdentical) {
     for (std::size_t i = 0; i < f.result.prop_traces.size(); ++i)
       EXPECT_EQ(TraceRow(f.result.prop_traces[i], spec.workload, i),
                 TraceRow(slow1.result.prop_traces[i], spec.workload, i));
-    std::ostringstream fh, sh;
-    BuildHeatmap(f.result).WriteJson(fh, spec.workload);
-    BuildHeatmap(slow1.result).WriteJson(sh, spec.workload);
-    EXPECT_EQ(fh.str(), sh.str());
+    EXPECT_EQ(heatmap(f.result), heatmap(slow1.result));
   }
 }
 
@@ -435,25 +390,14 @@ TEST(TrialFastPath, CampaignDistributionsMetricsAndHeatmapsIdentical) {
 // path disabled: the journaled fast-path prefix and the slow-path suffix
 // must splice into a result byte-identical to an uninterrupted slow run.
 TEST(TrialFastPath, ResumeCrossesFastSlowBoundary) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "tfi_fastpath_resume_test")
-          .string();
-  std::filesystem::remove_all(dir);
-  const char* old_dir = std::getenv("TFI_CACHE_DIR");
-  const std::string saved = old_dir ? old_dir : "";
-  ::setenv("TFI_CACHE_DIR", dir.c_str(), 1);
-
-  const CampaignSpec spec = SmallCampaign(30);
-  CampaignOptions base;
-  base.verbose = false;
-  base.use_cache = false;
-
-  CampaignOptions slow_opt = base;
+  ScopedCacheDir cache("tfi_fastpath_resume_test");
+  const CampaignSpec spec = FastpathCampaign(30);
+  CampaignOptions slow_opt = QuietLive();
   slow_opt.fast_path = false;
   const CampaignResult reference = RunCampaign(spec, slow_opt);
 
   CancellationToken cancel;
-  CampaignOptions interrupted = base;  // fast path on (default)
+  CampaignOptions interrupted = QuietLive();  // fast path on (default)
   interrupted.jobs = 2;
   interrupted.checkpoint_every = 5;
   interrupted.cancel = &cancel;
@@ -464,21 +408,18 @@ TEST(TrialFastPath, ResumeCrossesFastSlowBoundary) {
   ASSERT_TRUE(partial.interrupted);
   ASSERT_FALSE(partial.trials.empty());
   ASSERT_LT(partial.trials.size(), reference.trials.size());
+  const auto journal = LoadCampaignCheckpoint(spec);
+  ASSERT_TRUE(journal.has_value());
+  EXPECT_EQ(journal->size(), partial.trials.size());
 
-  CampaignOptions resume = base;
-  resume.fast_path = false;  // the suffix runs on the slow path
+  CampaignOptions resume = slow_opt;  // the suffix runs on the slow path
   resume.checkpoint_every = 5;
   const CampaignResult resumed = RunCampaign(spec, resume);
   EXPECT_FALSE(resumed.interrupted);
-  ASSERT_EQ(resumed.trials.size(), reference.trials.size());
-  for (std::size_t i = 0; i < reference.trials.size(); ++i)
-    ExpectSameRecord(resumed.trials[i], reference.trials[i], i);
-
-  if (old_dir)
-    ::setenv("TFI_CACHE_DIR", saved.c_str(), 1);
-  else
-    ::unsetenv("TFI_CACHE_DIR");
-  std::filesystem::remove_all(dir);
+  EXPECT_EQ(resumed.trials, reference.trials);
+  EXPECT_EQ(resumed.spec.CacheKey(), reference.spec.CacheKey());
+  EXPECT_FALSE(std::filesystem::exists(CampaignCheckpointPath(spec)))
+      << "a completed run must retire its journal";
 }
 
 }  // namespace

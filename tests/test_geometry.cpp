@@ -3,7 +3,7 @@
 // The pipeline historically assumed the paper's Alpha-21264-class geometry
 // in pointer widths, wraparound masks and loop bounds; CoreConfig::Validate
 // plus the derived-width refactor (IndexBits/CountBits) made the shape a
-// real parameter. This suite pins that down three ways:
+// real parameter. This suite pins that down four ways:
 //   * Validate() rejects malformed shapes with structured, field-named
 //     issues (and Core construction refuses them before any state exists);
 //   * a matrix of non-default shapes runs every workload to completion in
@@ -12,18 +12,22 @@
 //   * campaign results at a non-default shape are deterministic across
 //     worker counts, and the results cache keys on the geometry (two specs
 //     differing only in rob_entries land distinct entries — the collision
-//     the CacheKey salt bump fixed).
+//     the CacheKey salt bump fixed);
+//   * a geometry sweep exports byte-identical JSON and CSV at any --jobs,
+//     live or served from its per-point cache entries.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "arch/functional_sim.h"
+#include "campaign_fixture.h"
 #include "check/invariants.h"
 #include "inject/cache.h"
 #include "inject/campaign.h"
+#include "inject/sweep.h"
 #include "uarch/core.h"
 #include "workloads/workloads.h"
 
@@ -212,45 +216,10 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Campaign determinism and cache keying at non-default shapes
 
-// Scoped TFI_CACHE_DIR override pointing at a fresh temp directory (same
-// idiom as test_resilience.cpp).
-class ScopedCacheDir {
- public:
-  explicit ScopedCacheDir(const std::string& name)
-      : dir_((fs::temp_directory_path() / name).string()) {
-    fs::remove_all(dir_);
-    ::setenv("TFI_CACHE_DIR", dir_.c_str(), 1);
-  }
-  ~ScopedCacheDir() {
-    fs::remove_all(dir_);
-    ::unsetenv("TFI_CACHE_DIR");
-  }
-  const std::string& dir() const { return dir_; }
-
- private:
-  std::string dir_;
-};
-
 CampaignSpec SmallShapedCampaign(int rob_entries) {
-  CampaignSpec spec;
-  spec.workload = "gzip";
-  spec.trials = 16;
+  CampaignSpec spec = SmallCampaign(16);
   spec.core.rob_entries = rob_entries;
-  spec.golden.warmup = 12000;
-  spec.golden.points = 3;
-  spec.golden.spacing = 500;
-  spec.golden.window = 4000;
-  spec.golden.slack = 1000;
   return spec;
-}
-
-bool SameRecords(const std::vector<TrialRecord>& a,
-                 const std::vector<TrialRecord>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (a[i].outcome != b[i].outcome || a[i].cycles != b[i].cycles)
-      return false;
-  return true;
 }
 
 TEST(GeometryCampaign, CacheKeyDistinguishesGeometry) {
@@ -279,9 +248,9 @@ TEST(GeometryCampaign, DistinctGeometriesCacheDistinctResults) {
   const auto c_big = LoadCachedCampaign(big);
   ASSERT_TRUE(c_small.has_value());
   ASSERT_TRUE(c_big.has_value());
-  EXPECT_TRUE(SameRecords(c_small->trials, r_small.trials));
-  EXPECT_TRUE(SameRecords(c_big->trials, r_big.trials));
-  EXPECT_FALSE(SameRecords(c_small->trials, c_big->trials))
+  EXPECT_EQ(c_small->trials, r_small.trials);
+  EXPECT_EQ(c_big->trials, r_big.trials);
+  EXPECT_NE(c_small->trials, c_big->trials)
       << "a 16-entry and a 64-entry ROB produced identical trial streams — "
          "the cache is almost certainly aliasing";
 }
@@ -296,8 +265,65 @@ TEST(GeometryCampaign, NonDefaultShapeDeterministicAcrossJobs) {
   const CampaignResult serial = RunCampaign(spec, opt);
   opt.jobs = 3;
   const CampaignResult threaded = RunCampaign(spec, opt);
-  EXPECT_TRUE(SameRecords(serial.trials, threaded.trials))
+  EXPECT_EQ(serial.trials, threaded.trials)
       << "trial records at a non-default geometry differ across --jobs";
+}
+
+// ---------------------------------------------------------------------------
+// Geometry sweeps
+
+std::string SweepJson(const SweepResult& r) {
+  std::ostringstream os;
+  WriteSweepJson(r, os);
+  return os.str();
+}
+
+std::string SweepCsv(const SweepResult& r) {
+  std::ostringstream os;
+  WriteSweepCsv(r, os);
+  return os.str();
+}
+
+std::size_t CacheEntries(const std::string& dir) {
+  std::size_t n = 0;
+  if (!fs::exists(dir)) return 0;
+  for (const auto& e : fs::directory_iterator(dir))
+    if (e.path().extension() == ".txt") ++n;
+  return n;
+}
+
+// The 3-point smoke suite: a cold sweep runs every point live into its own
+// cache entry, jobs 1 and 4 export byte-identical JSON and CSV, and a rerun
+// is served entirely from the cache with byte-identical JSON (occupancy is
+// re-recorded from the deterministic golden run).
+TEST(GeometrySweep, LiveJobsAndCachedExportsByteIdentical) {
+  SweepSpec spec;
+  spec.suite = "smoke";
+  spec.trials = 24;
+  spec.golden = SmallCampaign(0).golden;
+  ASSERT_EQ(ExpandSweep(spec).size(), 3u);
+  CampaignOptions opt;
+  opt.verbose = false;
+
+  ScopedCacheDir cold("tfi_test_sweep_jobs1");
+  const SweepResult r1 = RunSweep(spec, "", opt);
+  ASSERT_EQ(r1.points.size(), 3u);
+  for (const SweepPointResult& p : r1.points) EXPECT_FALSE(p.from_cache);
+  EXPECT_EQ(CacheEntries(cold.dir()), 3u)
+      << "CacheKey must hash the core geometry";
+
+  {
+    ScopedCacheDir other("tfi_test_sweep_jobs4");
+    CampaignOptions opt4 = opt;
+    opt4.jobs = 4;
+    const SweepResult r4 = RunSweep(spec, "", opt4);
+    EXPECT_EQ(SweepJson(r4), SweepJson(r1));
+    EXPECT_EQ(SweepCsv(r4), SweepCsv(r1));
+  }
+
+  const SweepResult r2 = RunSweep(spec, "", opt);
+  for (const SweepPointResult& p : r2.points) EXPECT_TRUE(p.from_cache);
+  EXPECT_EQ(SweepJson(r2), SweepJson(r1));
 }
 
 }  // namespace

@@ -283,13 +283,7 @@ TEST(Harden, HardenedCampaignIsJobsInvariant) {
   opt.jobs = 4;
   const CampaignResult r4 = RunCampaign(spec, opt);
   ASSERT_EQ(r1.trials.size(), 16u);
-  ASSERT_EQ(r1.trials.size(), r4.trials.size());
-  for (std::size_t i = 0; i < r1.trials.size(); ++i) {
-    EXPECT_EQ(r1.trials[i].outcome, r4.trials[i].outcome) << "trial " << i;
-    EXPECT_EQ(r1.trials[i].mode, r4.trials[i].mode) << "trial " << i;
-    EXPECT_EQ(r1.trials[i].cat, r4.trials[i].cat) << "trial " << i;
-    EXPECT_EQ(r1.trials[i].cycles, r4.trials[i].cycles) << "trial " << i;
-  }
+  EXPECT_EQ(r1.trials, r4.trials);
   EXPECT_EQ(r1.ByOutcome(), r4.ByOutcome());
 }
 

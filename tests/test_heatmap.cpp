@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign_fixture.h"
 #include "inject/campaign.h"
 #include "inject/report.h"
 #include "obs/heatmap.h"
@@ -135,19 +136,9 @@ TEST(Heatmap, CsvExportOneRowPerField) {
 }
 
 TEST(Heatmap, BuildHeatmapMatchesCampaignAggregates) {
-  CampaignSpec spec;
-  spec.workload = "gzip";
-  spec.trials = 40;
-  spec.golden.warmup = 12000;
-  spec.golden.points = 3;
-  spec.golden.spacing = 500;
-  spec.golden.window = 4000;
-  spec.golden.slack = 1000;
-  CampaignOptions opt;
-  opt.verbose = false;
-  opt.use_cache = false;
+  CampaignOptions opt = QuietLive();
   opt.obs.collect_prop_traces = true;
-  const CampaignResult r = RunCampaign(spec, opt);
+  const CampaignResult r = RunCampaign(SmallCampaign(40), opt);
   ASSERT_EQ(r.trials.size(), 40u);
 
   const VulnerabilityHeatmap hm = BuildHeatmap(r);

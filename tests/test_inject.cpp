@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
 
+#include "campaign_fixture.h"
 #include "inject/cache.h"
 #include "inject/campaign.h"
 #include "inject/golden.h"
@@ -144,29 +144,14 @@ TEST(Trial, RecordsUtilizationAtInjection) {
 }
 
 TEST(Campaign, CacheRoundTrips) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "tfi_test_cache").string();
-  ::setenv("TFI_CACHE_DIR", dir.c_str(), 1);
-  std::filesystem::remove_all(dir);
-
-  CampaignSpec spec;
-  spec.workload = "gzip";
-  spec.trials = 25;
-  spec.golden = SmallSpec();
+  ScopedCacheDir cache("tfi_test_cache");
+  const CampaignSpec spec = SmallCampaign(25);
   CampaignOptions quiet;
   quiet.verbose = false;
   const CampaignResult fresh = RunCampaign(spec, quiet);
   const CampaignResult cached = RunCampaign(spec, quiet);
-  ASSERT_EQ(fresh.trials.size(), cached.trials.size());
-  for (std::size_t i = 0; i < fresh.trials.size(); ++i) {
-    EXPECT_EQ(fresh.trials[i].outcome, cached.trials[i].outcome);
-    EXPECT_EQ(fresh.trials[i].mode, cached.trials[i].mode);
-    EXPECT_EQ(fresh.trials[i].cat, cached.trials[i].cat);
-    EXPECT_EQ(fresh.trials[i].cycles, cached.trials[i].cycles);
-  }
+  EXPECT_EQ(fresh.trials, cached.trials);
   EXPECT_EQ(fresh.ByOutcome(), cached.ByOutcome());
-  std::filesystem::remove_all(dir);
-  ::unsetenv("TFI_CACHE_DIR");
 }
 
 TEST(Campaign, DeterministicForFixedSeed) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "inject/campaign.h"
 #include "inject/report.h"
@@ -292,6 +294,8 @@ TEST_F(PropTraceTest, TracingDoesNotPerturbClassification) {
   }
 }
 
+// The JSONL export: a versioned header line, then one valid JSON row per
+// trace carrying the keys downstream readers join on.
 TEST_F(PropTraceTest, JsonlRowsAreValidJson) {
   obs::PropagationTrace t;
   t.field = "rob.pc \"weird\"";
@@ -305,16 +309,32 @@ TEST_F(PropTraceTest, JsonlRowsAreValidJson) {
   t.cats_touched_mask =
       (1u << static_cast<int>(StateCat::kPc)) |
       (1u << static_cast<int>(StateCat::kCtrl));
+  CampaignResult r;
+  r.spec.workload = "gzip";
+  r.prop_traces = {t, t};
   std::ostringstream os;
-  obs::WritePropTraceRow(t, "gzip", 4, os);
-  const std::string line = os.str();
-  ASSERT_FALSE(line.empty());
-  EXPECT_EQ(line.back(), '\n');
-  std::string err;
-  EXPECT_TRUE(JsonLint(std::string_view(line.data(), line.size() - 1), &err))
-      << err << "\n" << line;
-  EXPECT_NE(line.find("\"first_spread_category\":\"ctrl\""),
-            std::string::npos);
+  ASSERT_TRUE(WritePropTraceJsonl(r, os));
+  ASSERT_FALSE(os.str().empty());
+  EXPECT_EQ(os.str().back(), '\n');
+
+  std::istringstream in(os.str());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 3u);  // header + one row per trace
+  EXPECT_NE(lines[0].find("\"type\":\"header\""), std::string::npos);
+  EXPECT_NE(lines[0].find("\"schema_version\""), std::string::npos);
+  EXPECT_NE(lines[0].find("\"generated_at\""), std::string::npos);
+  for (const std::string& line : lines) {
+    std::string err;
+    EXPECT_TRUE(JsonLint(line, &err)) << err << "\n" << line;
+  }
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    for (const char* key : {"\"outcome\"", "\"category\"",
+                            "\"arch_divergence_cycle\"", "\"trial\""})
+      EXPECT_NE(lines[i].find(key), std::string::npos) << key;
+    EXPECT_NE(lines[i].find("\"first_spread_category\":\"ctrl\""),
+              std::string::npos);
+  }
 }
 
 }  // namespace

@@ -1,0 +1,188 @@
+// Path equivalence: how a campaign's trials are executed never changes what
+// they classify. Every cell of {slow, fast, forked} x {jobs 1, jobs 4} x
+// {plain, resumed from a journal, durability failpoints armed} runs one spec
+// and must match a single reference run (slow path, one worker, nothing
+// persisted) in every trial record, distribution, heatmap, cache key and
+// per-trial journal payload.
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "campaign_fixture.h"
+#include "inject/cache.h"
+#include "inject/campaign.h"
+#include "inject/isolate.h"
+#include "inject/report.h"
+#include "obs/events.h"
+#include "obs/metrics.h"
+#include "obs/prop_trace.h"
+#include "util/failpoint.h"
+
+namespace tfsim {
+namespace {
+
+constexpr int kTrials = 40;
+// Resume cells start from a journal holding the reference's first records.
+constexpr std::size_t kResumed = 17;
+// Intermittent failure on every seam a campaign persists through.
+constexpr const char* kChaosSpec =
+    "fs.atomic_write=error@1in3;cache.load=error@1in2;cache.store=error@1in2;"
+    "ckpt.load=error@1in2;ckpt.store=error@1in2";
+
+enum class Path { kSlow, kFast, kIsolated };
+enum class Mode { kPlain, kResume, kChaos };
+using Cell = std::tuple<Path, int, Mode>;
+
+std::string CellName(const Cell& cell) {
+  static const char* const kPaths[] = {"Slow", "Fast", "Isolated"};
+  static const char* const kModes[] = {"Plain", "Resume", "Chaos"};
+  const auto [path, jobs, mode] = cell;
+  return std::string(kPaths[static_cast<int>(path)]) + "_Jobs" +
+         std::to_string(jobs) + "_" + kModes[static_cast<int>(mode)];
+}
+
+// What one campaign run is compared on.
+struct Observed {
+  CampaignResult result;
+  std::string metrics;  // timer-less export: byte-deterministic
+  std::uint64_t counted_trials = 0;
+  std::uint64_t resumed_trials = 0;
+  std::vector<TrialDonePayload> trial_done;
+};
+
+// Runs `spec` with a metrics registry and an event journal attached.
+Observed Observe(const CampaignSpec& spec, CampaignOptions opt) {
+  obs::MetricsRegistry metrics;
+  obs::EventJournal journal;
+  TrialDoneSink sink;
+  journal.AddSink(&sink);
+  opt.obs.sinks.metrics = &metrics;
+  opt.obs.events = &journal;
+  Observed o;
+  o.result = RunCampaign(spec, opt);
+  journal.RemoveSink(&sink);
+  o.trial_done = sink.Sorted();
+  std::ostringstream os;
+  metrics.WriteJson(os, /*include_timers=*/false);
+  o.metrics = os.str();
+  o.counted_trials = metrics.GetCounter("campaign.trials").value();
+  o.resumed_trials =
+      metrics.GetCounter("campaign.checkpoint.resumed_trials").value();
+  return o;
+}
+
+const Observed& Reference() {
+  static const Observed ref = [] {
+    CampaignOptions opt = QuietLive();
+    opt.fast_path = false;
+    opt.obs.collect_prop_traces = true;
+    return Observe(SmallCampaign(kTrials), opt);
+  }();
+  return ref;
+}
+
+// A fixed generated_at stamp: two exports must not differ just because
+// they were written on either side of a second boundary.
+std::string HeatmapJson(const CampaignResult& r) {
+  std::ostringstream os;
+  BuildHeatmap(r).WriteJson(os, r.spec.workload, "2026-01-01T00:00:00Z");
+  return os.str();
+}
+
+std::string TraceRows(const CampaignResult& r) {
+  std::ostringstream os;
+  for (std::size_t i = 0; i < r.prop_traces.size(); ++i)
+    obs::WritePropTraceRow(r.prop_traces[i], r.spec.workload, i, os);
+  return os.str();
+}
+
+class PathEquivalence : public ::testing::TestWithParam<Cell> {};
+
+TEST_P(PathEquivalence, MatchesReference) {
+  const auto [path, jobs, mode] = GetParam();
+  if (path == Path::kIsolated && !IsolationSupported())
+    GTEST_SKIP() << "fork isolation is POSIX only";
+  const Observed& ref = Reference();
+  ASSERT_EQ(ref.result.trials.size(), static_cast<std::size_t>(kTrials));
+  ASSERT_EQ(ref.trial_done.size(), static_cast<std::size_t>(kTrials));
+  // The golden run's pipeline histograms share the export with the
+  // campaign counters.
+  ASSERT_NE(ref.metrics.find("\"pipe.rob.occupancy\""), std::string::npos);
+  ASSERT_NE(ref.metrics.find("\"campaign.trials\""), std::string::npos);
+
+  ScopedCacheDir cache("tfi_paths_" + CellName(GetParam()));
+  FailpointGuard failpoints;
+  const CampaignSpec spec = SmallCampaign(kTrials);
+  CampaignOptions opt = QuietLive();
+  opt.jobs = jobs;
+  opt.fast_path = path != Path::kSlow;
+  opt.isolate_trials = path == Path::kIsolated;
+  // Isolation needs untraced trials, and journals and cache entries never
+  // hold traces, so only in-process plain cells trace.
+  const bool traced = mode == Mode::kPlain && path != Path::kIsolated;
+  opt.obs.collect_prop_traces = traced;
+  std::size_t first_live = 0;
+  if (mode == Mode::kResume) {
+    // Seeded rather than interrupted: a cancel hook runs in the forked
+    // worker under isolation and cannot reach the parent's token.
+    first_live = kResumed;
+    ASSERT_TRUE(StoreCampaignCheckpoint(
+        spec, {ref.result.trials.begin(),
+               ref.result.trials.begin() + kResumed}));
+    opt.checkpoint_every = 7;
+  } else if (mode == Mode::kChaos) {
+    std::string err;
+    ASSERT_TRUE(fail::ConfigureFromSpec(kChaosSpec, &err)) << err;
+    opt.use_cache = true;
+    opt.checkpoint_every = 3;
+  }
+  const Observed got = Observe(spec, opt);
+
+  const CampaignResult& r = got.result;
+  EXPECT_FALSE(r.interrupted);
+  EXPECT_FALSE(r.containment_exhausted);
+  EXPECT_EQ(r.worker_restarts, 0u);
+  EXPECT_TRUE(r.quarantined.empty());
+  EXPECT_EQ(r.trials, ref.result.trials);
+  EXPECT_EQ(r.ByOutcome(), ref.result.ByOutcome());
+  EXPECT_EQ(r.ByFailureMode(), ref.result.ByFailureMode());
+  EXPECT_EQ(r.spec.CacheKey(), ref.result.spec.CacheKey());
+  // Resumed trials are replayed into the campaign counters too.
+  EXPECT_EQ(got.counted_trials, static_cast<std::uint64_t>(kTrials));
+  // The heatmap joins latencies from traced trials only, so an untraced
+  // cell is compared with the reference's records alone.
+  CampaignResult want = ref.result;
+  if (!traced) want.prop_traces.clear();
+  EXPECT_EQ(HeatmapJson(r), HeatmapJson(want));
+  // Only trials this cell executed report kTrialDone.
+  const std::vector<TrialDonePayload> executed(
+      ref.trial_done.begin() + static_cast<std::ptrdiff_t>(first_live),
+      ref.trial_done.end());
+  EXPECT_EQ(got.trial_done, executed);
+
+  if (mode == Mode::kPlain) {
+    EXPECT_EQ(got.metrics, ref.metrics);
+    if (traced) {
+      EXPECT_EQ(TraceRows(r), TraceRows(ref.result));
+    }
+  } else if (mode == Mode::kResume) {
+    EXPECT_EQ(got.resumed_trials, kResumed);
+    EXPECT_FALSE(std::filesystem::exists(CampaignCheckpointPath(spec)))
+        << "a completed run must retire its journal";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, PathEquivalence,
+    ::testing::Combine(
+        ::testing::Values(Path::kSlow, Path::kFast, Path::kIsolated),
+        ::testing::Values(1, 4),
+        ::testing::Values(Mode::kPlain, Mode::kResume, Mode::kChaos)),
+    [](const ::testing::TestParamInfo<Cell>& p) { return CellName(p.param); });
+
+}  // namespace
+}  // namespace tfsim

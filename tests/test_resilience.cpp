@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "campaign_fixture.h"
 #include "inject/cache.h"
 #include "inject/campaign.h"
 #include "obs/metrics.h"
@@ -20,59 +21,6 @@ namespace tfsim {
 namespace {
 
 namespace fs = std::filesystem;
-
-// Scoped TFI_CACHE_DIR override pointing at a fresh temp directory.
-class ScopedCacheDir {
- public:
-  explicit ScopedCacheDir(const std::string& name)
-      : dir_((fs::temp_directory_path() / name).string()) {
-    fs::remove_all(dir_);
-    ::setenv("TFI_CACHE_DIR", dir_.c_str(), 1);
-  }
-  ~ScopedCacheDir() {
-    fs::remove_all(dir_);
-    ::unsetenv("TFI_CACHE_DIR");
-  }
-  const std::string& dir() const { return dir_; }
-
- private:
-  std::string dir_;
-};
-
-CampaignSpec SmallCampaign(int trials) {
-  CampaignSpec spec;
-  spec.workload = "gzip";
-  spec.trials = trials;
-  spec.golden.warmup = 12000;
-  spec.golden.points = 3;
-  spec.golden.spacing = 500;
-  spec.golden.window = 4000;
-  spec.golden.slack = 1000;
-  return spec;
-}
-
-CampaignOptions QuietLive() {
-  CampaignOptions opt;
-  opt.verbose = false;
-  opt.use_cache = false;
-  return opt;
-}
-
-// Expects `a` to hold exactly `n` records matching the first `n` of `b`.
-void ExpectSameRecords(const CampaignResult& a, const CampaignResult& b,
-                       std::size_t n) {
-  ASSERT_EQ(a.trials.size(), n);
-  ASSERT_GE(b.trials.size(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(a.trials[i].outcome, b.trials[i].outcome) << "trial " << i;
-    EXPECT_EQ(a.trials[i].mode, b.trials[i].mode) << "trial " << i;
-    EXPECT_EQ(a.trials[i].cat, b.trials[i].cat) << "trial " << i;
-    EXPECT_EQ(a.trials[i].storage, b.trials[i].storage) << "trial " << i;
-    EXPECT_EQ(a.trials[i].cycles, b.trials[i].cycles) << "trial " << i;
-    EXPECT_EQ(a.trials[i].valid_instrs, b.trials[i].valid_instrs);
-    EXPECT_EQ(a.trials[i].inflight, b.trials[i].inflight);
-  }
-}
 
 // A synthetic result exercising every serialized field, including doubles
 // that do not round-trip at default stream precision.
@@ -164,7 +112,7 @@ TEST(CacheV2, RoundTripsEveryFieldBitExactly) {
     EXPECT_EQ(loaded->inventory[c].latch_bits, stored.inventory[c].latch_bits);
     EXPECT_EQ(loaded->inventory[c].ram_bits, stored.inventory[c].ram_bits);
   }
-  ExpectSameRecords(*loaded, stored, stored.trials.size());
+  EXPECT_EQ(loaded->trials, stored.trials);
   // The quarantine index is rebuilt from the kTrialError records.
   std::size_t errors = 0;
   for (const auto& t : stored.trials)
@@ -251,8 +199,7 @@ TEST(Quarantine, ThrowingTrialDoesNotAbortTheCampaign) {
   // Every other trial classified exactly as the clean run's.
   for (std::size_t i = 0; i < r.trials.size(); ++i) {
     if (i == 3) continue;
-    EXPECT_EQ(r.trials[i].outcome, reference.trials[i].outcome) << i;
-    EXPECT_EQ(r.trials[i].cycles, reference.trials[i].cycles) << i;
+    EXPECT_EQ(r.trials[i], reference.trials[i]) << "trial " << i;
   }
 }
 
@@ -271,7 +218,7 @@ TEST(Quarantine, TransientFailureIsAbsorbedByRetry) {
   const CampaignResult r = RunCampaign(spec, opt);
   EXPECT_EQ(faults.load(), 2);  // first attempt + successful retry
   EXPECT_TRUE(r.quarantined.empty());
-  ExpectSameRecords(r, reference, reference.trials.size());
+  EXPECT_EQ(r.trials, reference.trials);
 
   // With retries disabled the same transient quarantines the trial.
   std::atomic<int> faults2{0};
@@ -306,7 +253,7 @@ TEST(CheckpointResume, SeededJournalYieldsByteIdenticalRecords) {
   const CampaignResult resumed = RunCampaign(spec, opt);
 
   EXPECT_FALSE(resumed.interrupted);
-  ExpectSameRecords(resumed, reference, reference.trials.size());
+  EXPECT_EQ(resumed.trials, reference.trials);
   EXPECT_EQ(resumed.spec.CacheKey(), reference.spec.CacheKey());
   EXPECT_EQ(metrics.GetCounter("campaign.checkpoint.resumed_trials").value(),
             7u);
@@ -334,7 +281,9 @@ TEST(CheckpointResume, CancelledRunFlushesJournalAndResumesIdentically) {
   };
   const CampaignResult partial = RunCampaign(spec, opt);
   EXPECT_TRUE(partial.interrupted);
-  ExpectSameRecords(partial, reference, 5);
+  EXPECT_EQ(partial.trials,
+            std::vector<TrialRecord>(reference.trials.begin(),
+                                     reference.trials.begin() + 5));
 
   const auto journal = LoadCampaignCheckpoint(spec);
   ASSERT_TRUE(journal.has_value());
@@ -354,7 +303,7 @@ TEST(CheckpointResume, CancelledRunFlushesJournalAndResumesIdentically) {
   ropt.checkpoint_every = 3;
   const CampaignResult resumed = RunCampaign(spec, ropt);
   EXPECT_FALSE(resumed.interrupted);
-  ExpectSameRecords(resumed, reference, reference.trials.size());
+  EXPECT_EQ(resumed.trials, reference.trials);
   EXPECT_FALSE(fs::exists(jpath));
 }
 
@@ -387,7 +336,7 @@ TEST(TornState, TruncatedCheckpointJournalIsDetectedAndRecovered) {
   opt.checkpoint_every = 3;
   const CampaignResult recovered = RunCampaign(spec, opt);
   EXPECT_FALSE(recovered.interrupted);
-  ExpectSameRecords(recovered, reference, reference.trials.size());
+  EXPECT_EQ(recovered.trials, reference.trials);
   // The completed run consumed (replaced, then removed) the torn journal.
   EXPECT_FALSE(fs::exists(jpath));
 }
@@ -408,7 +357,7 @@ TEST(TornState, HalfWrittenCacheTempFilesAreIgnored) {
 
   const auto loaded = LoadCachedCampaign(spec);
   ASSERT_TRUE(loaded.has_value());
-  ExpectSameRecords(*loaded, stored, stored.trials.size());
+  EXPECT_EQ(loaded->trials, stored.trials);
 
   // Overwriting through the same path still lands atomically.
   ASSERT_TRUE(StoreCachedCampaign(stored));

@@ -6,8 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <filesystem>
 #include <mutex>
 #include <regex>
 #include <set>
@@ -16,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "campaign_fixture.h"
 #include "inject/cache.h"
 #include "inject/campaign.h"
 #include "obs/chrome_trace.h"
@@ -26,40 +25,6 @@
 
 namespace tfsim {
 namespace {
-
-GoldenSpec SmallSpec() {
-  GoldenSpec gs;
-  gs.warmup = 12000;
-  gs.points = 3;
-  gs.spacing = 500;
-  gs.window = 4000;
-  gs.slack = 1000;
-  return gs;
-}
-
-CampaignSpec SmallCampaign(int trials) {
-  CampaignSpec spec;
-  spec.workload = "gzip";
-  spec.trials = trials;
-  spec.golden = SmallSpec();
-  return spec;
-}
-
-void ExpectSameRecords(const CampaignResult& a, const CampaignResult& b) {
-  ASSERT_EQ(a.trials.size(), b.trials.size());
-  for (std::size_t i = 0; i < a.trials.size(); ++i) {
-    EXPECT_EQ(a.trials[i].outcome, b.trials[i].outcome) << "trial " << i;
-    EXPECT_EQ(a.trials[i].mode, b.trials[i].mode) << "trial " << i;
-    EXPECT_EQ(a.trials[i].cat, b.trials[i].cat) << "trial " << i;
-    EXPECT_EQ(a.trials[i].storage, b.trials[i].storage) << "trial " << i;
-    EXPECT_EQ(a.trials[i].cycles, b.trials[i].cycles) << "trial " << i;
-    EXPECT_EQ(a.trials[i].valid_instrs, b.trials[i].valid_instrs);
-    EXPECT_EQ(a.trials[i].inflight, b.trials[i].inflight);
-  }
-  EXPECT_EQ(a.ByOutcome(), b.ByOutcome());
-  EXPECT_EQ(a.ByFailureMode(), b.ByFailureMode());
-  EXPECT_EQ(a.spec.CacheKey(), b.spec.CacheKey());
-}
 
 // Collects every delivered event for post-run inspection. OnEvent runs on
 // the journal's drain thread; reads happen only after RunCampaign returned
@@ -102,7 +67,10 @@ TEST(Telemetry, JournalOnOrOffLeavesResultsByteIdentical) {
     opt.obs.sinks.metrics = &metrics;
     const CampaignResult r = RunCampaign(spec, opt);
     journal.RemoveSink(&file_sink);
-    ExpectSameRecords(baseline, r);
+    EXPECT_EQ(r.trials, baseline.trials);
+    EXPECT_EQ(r.ByOutcome(), baseline.ByOutcome());
+    EXPECT_EQ(r.ByFailureMode(), baseline.ByFailureMode());
+    EXPECT_EQ(r.spec.CacheKey(), baseline.spec.CacheKey());
     // And the journal accounted for every trial exactly once.
     std::size_t trial_done = 0;
     std::istringstream lines(jsonl.str());
@@ -145,6 +113,10 @@ TEST(Telemetry, JsonlStreamIsWellFormedOrderedAndComplete) {
     std::string err;
     EXPECT_TRUE(obs::JsonLint(l, &err)) << err << "\n" << l;
   }
+  // What `tfi campaign --events-jsonl` reports as written: events shed by
+  // the queue never reach the file.
+  EXPECT_EQ(all.size() - 1, journal.emitted() - journal.dropped());
+  EXPECT_NE(all.back().find("\"ev\":\"campaign_finish\""), std::string::npos);
 
   // The delivered event stream is monotone in ts_us, brackets the campaign,
   // and covers every trial index exactly once.
@@ -308,11 +280,7 @@ TEST(Telemetry, ProgressSinkReportsInterruption) {
 }
 
 TEST(Telemetry, CacheHitPathStillBracketsTheJournal) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "tfi_test_cache_telemetry")
-          .string();
-  ::setenv("TFI_CACHE_DIR", dir.c_str(), 1);
-  std::filesystem::remove_all(dir);
+  ScopedCacheDir cache("tfi_test_cache_telemetry");
 
   const CampaignSpec spec = SmallCampaign(10);
   CampaignOptions warm;
@@ -338,9 +306,6 @@ TEST(Telemetry, CacheHitPathStillBracketsTheJournal) {
   EXPECT_TRUE(saw_hit);
   EXPECT_EQ(events.back().kind, obs::EventKind::kCampaignFinish);
   EXPECT_EQ(events.back().value, 10u);
-
-  std::filesystem::remove_all(dir);
-  ::unsetenv("TFI_CACHE_DIR");
 }
 
 // The chrome campaign lane is drawn from the event journal. A campaign
@@ -349,11 +314,7 @@ TEST(Telemetry, CacheHitPathStillBracketsTheJournal) {
 // prefix), one marker per journal retry and checkpoint flush, and a thread
 // name on every worker row it used.
 TEST(Telemetry, ChromeLaneDerivesFromTheJournal) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "tfi_test_chrome_lane")
-          .string();
-  ::setenv("TFI_CACHE_DIR", dir.c_str(), 1);
-  std::filesystem::remove_all(dir);
+  ScopedCacheDir cache("tfi_test_chrome_lane");
 
   const CampaignSpec spec = SmallCampaign(30);
   CancellationToken cancel;
@@ -423,9 +384,10 @@ TEST(Telemetry, ChromeLaneDerivesFromTheJournal) {
   EXPECT_EQ(markers, expected);
   ASSERT_FALSE(span_rows.empty());
   for (const std::string& row : span_rows) EXPECT_TRUE(named_rows.count(row));
-
-  std::filesystem::remove_all(dir);
-  ::unsetenv("TFI_CACHE_DIR");
+  // The golden run's pipeline occupancy counters share the file.
+  EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
+  std::string err;
+  EXPECT_TRUE(obs::JsonLint(json, &err)) << err;
 }
 
 TEST(Telemetry, MetricsExportCarriesSchemaVersionDeterministically) {

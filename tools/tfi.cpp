@@ -35,6 +35,9 @@
 //              [--write-baseline --baseline FILE]
 //   tfi asmlint [unit|file.s ...] [--allow FILE]         static program lint
 //       [--harden cfc|dup|full]  also statically verify the hardened variant
+//       [--dump]  print each unit's lifted program as assembler-compatible
+//                 text (round-trips through Assemble)
+//       Exit code = number of findings (0 = programs verified).
 //   tfi workloads                                        list the suite
 //   tfi version                                          build configuration
 //
@@ -125,6 +128,7 @@ struct Args {
   // Static program lint (asmlint subcommand).
   std::string allow;
   std::string harden;
+  bool dump = false;
   // Inventory audit (inventory subcommand).
   bool json = false;
   bool coverage = false;
@@ -195,6 +199,7 @@ ArgParser MakeParser(Args& a) {
   p.AddStr("allow", &a.allow, "allowlist of audited exceptions (asmlint)");
   p.AddStr("harden", &a.harden,
            "also verify the hardened variant: cfc, dup or full (asmlint)");
+  p.AddFlag("dump", &a.dump, "print each unit's lifted disassembly (asmlint)");
   p.AddFlag("json", &a.json,
             "emit the canonical audit JSON (inventory); sweep curves JSON "
             "on stdout (sweep)");
@@ -268,6 +273,7 @@ int CmdAsmlint(const Args& a) {
     const std::string unit =
         slash == std::string::npos ? u : u.substr(slash + 1);
     const Program prog = LoadProgram(u, kCampaignIters);
+    if (a.dump) std::fputs(analyze::DisassembleProgram(prog).c_str(), stdout);
     analyze::AsmLintOptions opt;
     opt.unit = unit;
     std::vector<analyze::AsmFinding> findings =
@@ -676,9 +682,9 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string cmd = argv[1];
   if (cmd == "version" || cmd == "--version") return CmdVersion();
-  // Chaos failpoints are armed exclusively by TFI_FAILPOINTS (fault drills
-  // and the chaos_smoke ctest); without it this is one env read and the
-  // per-site probes stay a single relaxed atomic load.
+  // Chaos failpoints are armed exclusively by TFI_FAILPOINTS (fault
+  // drills); without it this is one env read and the per-site probes stay a
+  // single relaxed atomic load.
   if (const int sites = fail::ConfigureFromEnv(); sites > 0)
     std::fprintf(stderr, "tfi: %d failpoint(s) armed from TFI_FAILPOINTS\n",
                  sites);
