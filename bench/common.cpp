@@ -25,7 +25,6 @@ BenchOptions& MutableOptions() {
     o.points = EnvInt("TFI_POINTS", 12);
     o.jobs = EnvInt("TFI_JOBS", 1);
     o.checkpoint_every = EnvInt("TFI_CHECKPOINT_EVERY", 0);
-    o.trial_timeout = EnvInt("TFI_TRIAL_TIMEOUT", 0);
     o.progress = EnvInt("TFI_PROGRESS", 0) != 0;
     o.metrics_json = EnvStr("TFI_METRICS_JSON", "");
     return o;
@@ -61,7 +60,6 @@ CampaignOptions RunOpts() {
   CampaignOptions opt;
   opt.jobs = static_cast<int>(Options().jobs);
   opt.checkpoint_every = static_cast<int>(Options().checkpoint_every);
-  opt.trial_timeout_ms = Options().trial_timeout;
   opt.obs.progress = Options().progress;
   return opt;
 }

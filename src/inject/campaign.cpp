@@ -3,17 +3,19 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <exception>
 #include <iostream>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "check/invariants.h"
 #include "inject/cache.h"
-#include "inject/isolate.h"
 #include "inject/trial.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -64,20 +66,6 @@ std::string CampaignSpec::CacheKey() const {
              : "_base")
      << "_" << std::hex << h;
   return os.str();
-}
-
-const char* QuarantineReasonName(QuarantinedTrial::Reason r) {
-  switch (r) {
-    case QuarantinedTrial::Reason::kException:
-      return "exception";
-    case QuarantinedTrial::Reason::kTimeout:
-      return "timeout";
-    case QuarantinedTrial::Reason::kCrash:
-      return "crash";
-    case QuarantinedTrial::Reason::kBudget:
-      return "budget";
-  }
-  return "unknown";
 }
 
 std::array<std::uint64_t, kNumOutcomes> CampaignResult::ByOutcome() const {
@@ -291,6 +279,18 @@ std::shared_ptr<const GoldenRun> RecordCampaignGolden(const CampaignRun& c,
   return golden;
 }
 
+// One finished trial; the execute stage keeps one per trial index.
+struct CompletedTrial {
+  std::size_t index = 0;
+  TrialRecord record;         // the kTrialError stand-in when quarantined
+  std::string error;          // quarantine diagnostic (not persisted)
+  std::uint64_t dur_us = 0;   // wall time (telemetry only)
+  int worker = 0;             // worker thread
+  obs::PropagationTrace trace;  // traced campaigns only
+  // Per-kind violation counts of a checked trial that was quarantined.
+  std::array<std::uint64_t, check::kNumInvariantKinds> violations{};
+};
+
 // Per-index trial slots and the checkpoint journal over their contiguous
 // completed prefix. A slot is written once, by its trial's completion; the
 // release store of its flag pairs with the acquire scan of the prefix, so
@@ -332,13 +332,10 @@ class TrialSlots {
     return resumed;
   }
 
-  // Budget holes never ran: keeping them out of the completed prefix keeps
-  // them out of the journal, so a re-run executes them for real.
   void Complete(CompletedTrial&& t) {
     const std::size_t i = t.index;
-    const bool ran = t.quarantine != QuarantineReason::kBudget;
     slots_[i] = std::move(t);
-    if (ran) done_[i].store(true, std::memory_order_release);
+    done_[i].store(true, std::memory_order_release);
     const std::uint64_t d = count_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (every_ && d % every_ == 0) Flush();
   }
@@ -401,19 +398,14 @@ class TrialSlots {
 };
 
 // Journal events for one completed trial: its quarantine, if any, then
-// kTrialDone. The site is resolved against the probe replica, so the
-// payload is the same under both executors; its category and storage come
-// from the site, not the record, whose quarantine stand-in has defaults.
+// kTrialDone. The site is resolved against the probe replica; its category
+// and storage come from the site, not the record, whose quarantine stand-in
+// has defaults.
 void EmitCompletion(const CampaignRun& c, const Plan& p,
                     const GoldenSpec& golden, const CompletedTrial& t) {
   using Kind = obs::EventKind;
   const auto trial = static_cast<std::int64_t>(t.index);
-  if (t.quarantine == QuarantineReason::kCrash)
-    c.Emit(Kind::kTrialCrash, t.status, trial, t.error);
-  else if (t.quarantine == QuarantineReason::kTimeout)
-    c.Emit(Kind::kTrialTimeout,
-           static_cast<std::uint64_t>(c.opt.trial_timeout_ms), trial, t.error);
-  else if (t.quarantine)
+  if (t.record.outcome == Outcome::kTrialError)
     c.Emit(Kind::kTrialQuarantine, 0, trial, t.error);
   const StateRegistry& reg = p.probe->registry();
   const BitLocation loc =
@@ -431,66 +423,92 @@ void EmitCompletion(const CampaignRun& c, const Plan& p,
   c.Emit(std::move(ev));
 }
 
-// Crash containment runs trials in forked workers (inject/isolate.h).
-// Traced and checked runs need the trial core in this process, so they fall
-// back to in-process execution.
-bool UseIsolation(const CampaignRun& c) {
-  if (!c.opt.isolate_trials) return false;
-  const char* why = c.tracing || c.checked
-                        ? "--isolate-trials is incompatible with propagation "
-                          "tracing and checked runs"
-                    : !IsolationSupported()
-                        ? "trial isolation is not supported on this platform"
-                        : nullptr;
-  if (why)
-    std::fprintf(stderr, "[campaign %s] %s; executing in-process\n",
-                 c.key.c_str(), why);
-  return why == nullptr;
+// The trial loop over specs[first, size): workers, each with a private
+// TrialRunner, pull the next unclaimed index; at one worker the calling
+// thread runs them all. Every completion goes to the journal and to its
+// slot, concurrently for distinct indices, so records never depend on
+// scheduling. An exception outside a trial ends its worker and is rethrown
+// after the join.
+void RunTrials(const CampaignRun& c, const Plan& p,
+               const std::shared_ptr<const GoldenRun>& golden,
+               std::size_t first, TrialSlots& slots) {
+  const std::size_t n = p.specs.size();
+  if (first >= n) return;
+  TrialPolicy policy;
+  policy.fast_path = p.fast;
+  policy.check_invariants = c.checked;
+  TrialRunner::Hooks hooks;
+  hooks.before_attempt = c.opt.trial_fault_hook;
+  hooks.on_retry = [&c](std::size_t i, int attempt, const std::string& error) {
+    c.Emit(obs::EventKind::kTrialRetry, static_cast<std::uint64_t>(attempt),
+           static_cast<std::int64_t>(i), error);
+  };
+  std::atomic<std::size_t> next{first};
+  auto work = [&](int worker) {
+    TrialRunner runner(golden, policy);
+    for (;;) {
+      if (c.opt.cancel && c.opt.cancel->cancelled()) return;
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      const auto t0 = std::chrono::steady_clock::now();
+      TrialRunner::Result res = runner.Run(p.specs[i], c.tracing, &hooks, i);
+      CompletedTrial t;
+      t.index = i;
+      t.record = res.record;
+      t.dur_us = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count());
+      t.worker = worker;
+      t.trace = std::move(res.trace);
+      if (res.quarantined) {
+        t.error = std::move(res.error);
+        if (const check::InvariantChecker* chk =
+                runner.core().invariant_checker())
+          for (int k = 0; k < check::kNumInvariantKinds; ++k)
+            t.violations[static_cast<std::size_t>(k)] =
+                chk->CountFor(static_cast<check::InvariantKind>(k));
+      }
+      if (c.journal) EmitCompletion(c, p, golden->spec, t);
+      slots.Complete(std::move(t));
+    }
+  };
+
+  const int jobs = static_cast<int>(std::min<std::size_t>(
+      static_cast<std::size_t>(ResolveJobs(c.opt.jobs)), n - first));
+  if (jobs == 1) {
+    work(0);
+    return;
+  }
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(jobs));
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(jobs));
+  for (int w = 0; w < jobs; ++w) {
+    pool.emplace_back([&, w] {
+      try {
+        work(w);
+      } catch (...) {
+        errors[static_cast<std::size_t>(w)] = std::current_exception();
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  for (const auto& e : errors)
+    if (e) std::rethrow_exception(e);
 }
 
-// Stage 3, execute: resume from the checkpoint journal, run the remaining
-// trials on one executor, and hand every completion to the journal and the
-// slots. Returns how many trials the result keeps: all, or after
+// Stage 3, execute: resume from the checkpoint journal, then run the
+// remaining trials. Returns how many trials the result keeps: all, or after
 // cancellation the contiguous completed prefix.
 std::size_t Execute(const CampaignRun& c, const Plan& p,
                     const std::shared_ptr<const GoldenRun>& golden,
                     TrialSlots& slots, CampaignResult& result) {
   const std::size_t resumed = slots.Resume();
-  TrialExecOptions exec;
-  exec.jobs = ResolveJobs(c.opt.jobs);
-  exec.policy.fast_path = p.fast;
-  exec.policy.retries = c.opt.retries;
-  exec.policy.check_invariants = c.checked;
-  exec.policy.timeout_ms = c.opt.trial_timeout_ms;
-  exec.want_trace = c.tracing;
-  exec.cancel = c.opt.cancel;
-  exec.hooks.before_attempt = c.opt.trial_fault_hook;
-  exec.hooks.on_retry = [&c](std::size_t i, int attempt,
-                             const std::string& error) {
-    c.Emit(obs::EventKind::kTrialRetry, static_cast<std::uint64_t>(attempt),
-           static_cast<std::int64_t>(i), error);
-  };
-  exec.max_restarts = c.opt.max_worker_restarts;
-  exec.verbose = c.opt.verbose;
-  // Runs concurrently on in-process workers and serially on the isolation
-  // supervisor; it touches only the trial's own slot, the thread-safe
-  // journal and the slots' atomics and lock.
-  const TrialCallback on_done = [&](CompletedTrial&& t) {
-    if (c.journal) EmitCompletion(c, p, golden->spec, t);
-    slots.Complete(std::move(t));
-  };
-
-  const auto run = UseIsolation(c) ? RunTrialsIsolated : RunTrials;
-  TrialExecReport rep;
   {
     std::optional<obs::ScopedTimer> timed;
     if (c.metrics) timed.emplace(c.metrics->GetTimer("campaign.trial_loop"));
-    rep = run(golden, p.specs, resumed, exec, on_done);
+    RunTrials(c, p, golden, resumed, slots);
   }
-  result.worker_restarts = rep.restarts;
-  result.containment_exhausted = rep.exhausted;
-  if (c.metrics && rep.restarts)
-    c.metrics->GetCounter("campaign.workers.restarts").Inc(rep.restarts);
 
   // Interruption keeps the contiguous completed prefix, exactly what the
   // journal holds, so the partial result, its telemetry and a resumed run
@@ -511,13 +529,10 @@ std::size_t Execute(const CampaignRun& c, const Plan& p,
 }
 
 // Stage 4, finalize: the kept records, traces and quarantine list in trial
-// order, the metrics replay, then persistence. A complete result is cached
-// and retires the checkpoint journal. A result with budget holes (never
-// executed) is not cached; its journal, which holds only executed trials,
-// is flushed once more so a re-run resumes from the largest real prefix.
+// order, the metrics replay, then persistence. A complete result retires
+// the checkpoint journal, and is cached only when no trial was quarantined.
 void Finalize(const CampaignRun& c, TrialSlots& s, std::size_t kept,
               CampaignResult& result) {
-  std::uint64_t n_timeout = 0, n_crash = 0;
   std::array<std::uint64_t, check::kNumInvariantKinds> violations{};
   for (std::size_t i = 0; i < kept; ++i) {
     CompletedTrial& t = s.slots()[i];
@@ -525,20 +540,14 @@ void Finalize(const CampaignRun& c, TrialSlots& s, std::size_t kept,
     if (c.tracing) result.prop_traces.push_back(std::move(t.trace));
     for (std::size_t k = 0; k < violations.size(); ++k)
       violations[k] += t.violations[k];
-    if (t.record.outcome != Outcome::kTrialError) continue;
-    // Restored records carry no message or reason: neither is persisted.
-    const QuarantineReason why =
-        t.quarantine.value_or(QuarantineReason::kException);
-    result.quarantined.push_back({i, t.error, why});
-    n_timeout += why == QuarantineReason::kTimeout;
-    n_crash += why == QuarantineReason::kCrash;
+    // A resumed record carries no message: it is not persisted.
+    if (t.record.outcome == Outcome::kTrialError)
+      result.quarantined.push_back({i, t.error});
   }
   if (obs::MetricsRegistry* m = c.metrics) {
     EmitTrialMetrics(result.trials, *m);
-    // Containment splits and violation totals only when nonzero, so a clean
-    // campaign's metrics JSON has no always-present keys for them.
-    if (n_timeout) m->GetCounter("campaign.trials.timeout").Inc(n_timeout);
-    if (n_crash) m->GetCounter("campaign.trials.crash").Inc(n_crash);
+    // Violation totals only when nonzero, so a clean campaign's metrics JSON
+    // has no always-present keys for them.
     for (std::size_t k = 0; k < violations.size(); ++k)
       if (violations[k])
         m->GetCounter(std::string("check.violations.") +
@@ -547,8 +556,8 @@ void Finalize(const CampaignRun& c, TrialSlots& s, std::size_t kept,
             .Inc(violations[k]);
   }
   if (result.interrupted) return;
-  if (result.containment_exhausted) return s.Flush();
-  if (c.opt.use_cache && !c.checked && StoreCachedCampaign(result, c.metrics))
+  if (c.opt.use_cache && !c.checked && result.quarantined.empty() &&
+      StoreCachedCampaign(result, c.metrics))
     c.Emit(obs::EventKind::kCacheStore, result.trials.size());
   s.Retire();
 }

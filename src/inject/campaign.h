@@ -88,10 +88,6 @@ struct CampaignOptions {
   // of the CacheKey. Checked runs
   // (check_invariants) always take the slow path.
   bool fast_path = true;
-  // Re-attempts for a trial whose execution throws before it is quarantined
-  // as Outcome::kTrialError. One retry absorbs transient host-level failures
-  // (resource exhaustion) without masking deterministic trial bugs.
-  int retries = 1;
   // Checkpoint/resume: when > 0, the contiguous completed-trial prefix is
   // flushed to a per-CacheKey journal under TFI_CACHE_DIR every this many
   // completed trials (and on interruption), and an existing journal for the
@@ -110,28 +106,6 @@ struct CampaignOptions {
   // and checkpoint journal (options must never change cached results) and
   // report check.violations.* counter totals when metrics are attached.
   bool check_invariants = false;
-  // Watchdog deadline per trial execution attempt, in wall milliseconds
-  // (TrialPolicy::timeout_ms). A trial whose injected fault wedges the
-  // simulation loop is quarantined as Outcome::kTrialError with
-  // QuarantinedTrial::Reason::kTimeout (journal: kTrialTimeout) instead of
-  // hanging a worker forever. 0 disables the watchdog.
-  std::int64_t trial_timeout_ms = 0;
-  // Crash containment: run trials in forked worker subprocesses under a
-  // single-threaded supervisor (inject/isolate.h), so a trial that
-  // segfaults kills only its worker — the supervisor synthesizes a
-  // quarantined record (Reason::kCrash, journal: kTrialCrash), respawns the
-  // worker within `max_worker_restarts`, and the campaign keeps going.
-  // Surviving records are byte-identical to an in-process run's at any
-  // `jobs` value. Incompatible with propagation tracing and checked runs
-  // (both need the trial core in-process); those fall back to in-process
-  // execution with a stderr note. No-op on non-POSIX platforms.
-  bool isolate_trials = false;
-  // Worker respawns the isolation supervisor performs before declaring
-  // containment exhausted: remaining trials quarantine with Reason::kBudget
-  // and CampaignResult::containment_exhausted is set (the result is then
-  // never cached, and the checkpoint journal keeps only genuinely executed
-  // trials, so a re-run finishes the job).
-  int max_worker_restarts = 16;
   // Cooperative cancellation (e.g. wired to SIGINT). When requested,
   // workers finish their in-flight trials and stop claiming new ones; the
   // campaign flushes its checkpoint journal plus the telemetry for the
@@ -146,38 +120,32 @@ struct CampaignOptions {
   CampaignObs obs;
 };
 
-// A quarantined trial: its index, why it was quarantined, and a diagnostic
-// message. The record itself (trials[index]) carries Outcome::kTrialError;
-// the message is diagnostic only and is not persisted in caches or
-// checkpoints.
+// A quarantined trial: its index and a diagnostic message. The record itself
+// (trials[index]) carries Outcome::kTrialError; the message is diagnostic
+// only and is not persisted in caches or checkpoints.
+enum class QuarantineReason : std::uint8_t {
+  kException,  // both attempts threw, or the trial violated an invariant
+};
 struct QuarantinedTrial {
-  using Reason = QuarantineReason;  // inject/trial.h
   std::uint64_t index = 0;
   std::string message;
-  Reason reason = Reason::kException;
+  QuarantineReason reason = QuarantineReason::kException;
 };
-const char* QuarantineReasonName(QuarantinedTrial::Reason r);
 
 struct CampaignResult {
   CampaignSpec spec;
   std::vector<TrialRecord> trials;
-  // Trials whose execution threw (after CampaignOptions::retries
-  // re-attempts), in trial-index order. Parallel to the kTrialError records
-  // in `trials`; counted by the campaign.trials.quarantined metric.
+  // Trials whose execution threw on both attempts (or, in checked runs,
+  // broke an invariant), in trial-index order. Parallel to the kTrialError
+  // records in `trials`; counted by the campaign.trials.quarantined metric.
+  // A result with quarantined trials is never cached: a quarantine is a
+  // hole in the sample, and a cached hole would outlive its cause.
   std::vector<QuarantinedTrial> quarantined;
   // True when the campaign was cancelled before completing: `trials` then
   // holds only the contiguous completed prefix (matching the checkpoint
   // journal on disk, when journaling was enabled) and the result was not
   // cached. Re-running the same spec resumes from the journal.
   bool interrupted = false;
-  // True when --isolate-trials ran out of worker respawns: the trailing
-  // Reason::kBudget quarantines are synthesized holes, not machine
-  // behaviour, so the result is not cached (a re-run resumes from the
-  // checkpoint journal, which holds only genuinely executed trials). tfi
-  // maps this to exit code 3.
-  bool containment_exhausted = false;
-  // Workers respawned by the isolation supervisor (0 outside isolate mode).
-  std::uint64_t worker_restarts = 0;
   // Per-trial propagation traces, parallel to `trials`. Only populated when
   // CampaignObs::collect_prop_traces was set (never loaded from the cache).
   std::vector<obs::PropagationTrace> prop_traces;

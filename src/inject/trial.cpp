@@ -1,14 +1,10 @@
 #include "inject/trial.h"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <sstream>
-#include <stdexcept>
-#include <thread>
 
 #include "check/invariants.h"
-#include "util/failpoint.h"
 #include "util/rng.h"
 
 namespace tfsim {
@@ -60,10 +56,9 @@ Outcome OutcomeOf(FailureMode m) {
   }
 }
 
-// Watchdog (and chaos-delay) cadence in the simulation loops: every 256
-// cycles keeps a steady_clock read off the per-cycle hot path (<0.1% even on
-// short windows) while bounding detection latency to a few hundred cycles.
-constexpr std::uint64_t kWatchdogMask = 0xFF;
+// Execution attempts per trial: one retry absorbs a transient host-level
+// failure (resource exhaustion) without masking a deterministic trial bug.
+constexpr int kTrialAttempts = 2;
 
 }  // namespace
 
@@ -131,29 +126,11 @@ std::uint64_t TrialRunner::window() const {
   return policy_.window != 0 ? policy_.window : golden_->spec.window;
 }
 
-void TrialRunner::ArmDeadline() {
-  if (policy_.timeout_ms > 0)
-    deadline_ = std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(policy_.timeout_ms);
-}
-
-void TrialRunner::CheckDeadline() const {
-  if (policy_.timeout_ms <= 0) return;
-  if (std::chrono::steady_clock::now() <= deadline_) return;
-  throw TrialTimeoutError("trial exceeded its " +
-                          std::to_string(policy_.timeout_ms) +
-                          "ms watchdog deadline");
-}
-
 TrialRunner::Result TrialRunner::Run(const TrialSpec& spec, bool want_trace,
                                      const Hooks* hooks, std::size_t trial) {
   Result res;
-  const int attempts = 1 + std::max(policy_.retries, 0);
   bool ok = false;
-  for (int attempt = 1; attempt <= attempts && !ok; ++attempt) {
-    // The deadline covers the whole attempt, hooks included: a stalled
-    // before_attempt hook shows up at the first in-loop check.
-    ArmDeadline();
+  for (int attempt = 1; attempt <= kTrialAttempts && !ok; ++attempt) {
     try {
       if (hooks != nullptr && hooks->before_attempt)
         hooks->before_attempt(trial);
@@ -164,12 +141,6 @@ TrialRunner::Result TrialRunner::Run(const TrialSpec& spec, bool want_trace,
       res.trace = std::move(attempt_trace);
       res.fast = fast;
       ok = true;
-    } catch (const TrialTimeoutError& e) {
-      // No retry: a deterministic hang would eat every re-attempt's budget
-      // too. Straight to quarantine with the timeout cause preserved.
-      res.error = e.what();
-      res.timed_out = true;
-      break;
     } catch (const std::exception& e) {
       res.error = e.what();
     } catch (...) {
@@ -206,9 +177,6 @@ TrialRunner::Result TrialRunner::Run(const TrialSpec& spec, bool want_trace,
 
 TrialRecord TrialRunner::RunOnce(const TrialSpec& spec,
                                  obs::PropagationTrace* trace, bool* fast) {
-  // First watchdog check of the attempt: catches time already burned in the
-  // before_attempt hook (seeded-hang tests stall exactly there).
-  CheckDeadline();
   const InjectionSite site =
       ResolveInjectionSite(golden_->spec, spec, core_->registry());
   TrialRecord rec;
@@ -373,10 +341,7 @@ TrialRecord TrialRunner::Simulate(const TrialSpec& spec,
   core.tlb() = golden.tlb;  // preloaded with every fault-free page
   if (point == nullptr) {
     // Advance deterministically to the injection cycle (identical to golden).
-    for (std::uint64_t c = 0; c < spec.offset; ++c) {
-      core.Cycle();
-      if ((c & kWatchdogMask) == 0) CheckDeadline();
-    }
+    for (std::uint64_t c = 0; c < spec.offset; ++c) core.Cycle();
   }
 
   const std::uint64_t base = site.base;
@@ -437,13 +402,6 @@ TrialRecord TrialRunner::Simulate(const TrialSpec& spec,
   // core's retired_total.
   std::uint64_t abs_index = core.RetiredTotal();
   for (std::uint64_t c = 1; c <= win; ++c) {
-    // Watchdog + chaos cadence: the trial.cycle site lets tests wedge the
-    // loop (a delay policy models a fault-corrupted core that stops making
-    // progress) and the deadline check converts exactly that into a timeout.
-    if ((c & kWatchdogMask) == 0) {
-      fail::FailHere("trial.cycle");
-      CheckDeadline();
-    }
     core.Cycle();
     const std::uint64_t gidx = base + spec.offset + c - 1;
     if (gidx >= tl.state_hash.size())
@@ -516,72 +474,6 @@ TrialRecord TrialRunner::Simulate(const TrialSpec& spec,
       return finish(Outcome::kMicroArchMatch, FailureMode::kNoFailure, c);
   }
   return finish(Outcome::kGrayArea, FailureMode::kNoFailure, win);
-}
-
-TrialExecReport RunTrials(const std::shared_ptr<const GoldenRun>& golden,
-                          const std::vector<TrialSpec>& specs,
-                          std::size_t first, const TrialExecOptions& opt,
-                          const TrialCallback& on_done) {
-  const std::size_t n = specs.size();
-  if (first >= n) return {};
-  std::atomic<std::size_t> next{first};
-  // One worker's share: results go out through on_done in per-index form, so
-  // collection order never depends on scheduling.
-  auto work = [&](int worker) {
-    TrialRunner runner(golden, opt.policy);
-    for (;;) {
-      if (opt.cancel && opt.cancel->cancelled()) return;
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      const auto t0 = std::chrono::steady_clock::now();
-      TrialRunner::Result res =
-          runner.Run(specs[i], opt.want_trace, &opt.hooks, i);
-      CompletedTrial t;
-      t.index = i;
-      t.record = res.record;
-      t.dur_us = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-      t.worker = worker;
-      t.trace = std::move(res.trace);
-      if (res.quarantined) {
-        t.quarantine = res.timed_out ? QuarantineReason::kTimeout
-                                     : QuarantineReason::kException;
-        t.error = std::move(res.error);
-        if (const check::InvariantChecker* chk =
-                runner.core().invariant_checker())
-          for (int k = 0; k < check::kNumInvariantKinds; ++k)
-            t.violations[static_cast<std::size_t>(k)] =
-                chk->CountFor(static_cast<check::InvariantKind>(k));
-      }
-      on_done(std::move(t));
-    }
-  };
-
-  const int jobs = static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(std::max(opt.jobs, 1)),
-                            n - first));
-  if (jobs == 1) {
-    work(0);
-    return {};
-  }
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(jobs));
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(jobs));
-  for (int w = 0; w < jobs; ++w) {
-    pool.emplace_back([&, w] {
-      try {
-        work(w);
-      } catch (...) {
-        errors[static_cast<std::size_t>(w)] = std::current_exception();
-      }
-    });
-  }
-  for (auto& th : pool) th.join();
-  for (const auto& e : errors)
-    if (e) std::rethrow_exception(e);
-  return {};
 }
 
 }  // namespace tfsim

@@ -15,22 +15,16 @@
 // produce byte-identical TrialRecords and propagation traces.
 #pragma once
 
-#include <array>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "check/invariants.h"
 #include "inject/golden.h"
 #include "inject/outcome.h"
 #include "obs/prop_trace.h"
 #include "uarch/core.h"
-#include "util/cancel.h"
 
 namespace tfsim {
 
@@ -50,29 +44,12 @@ struct TrialSpec {
 // How TrialRunner executes trials. Execution policy only: every combination
 // of fast_path and window classifies a given TrialSpec identically (window
 // changes the observation length, which IS part of the result — it is a
-// policy knob so hosts can thread GoldenRunSpec::window through explicitly;
+// policy knob so hosts can thread GoldenSpec::window through explicitly;
 // 0 means "the golden run's window").
 struct TrialPolicy {
   bool fast_path = true;        // use fast-path data when the golden has it
   std::uint64_t window = 0;     // observation window; 0 = golden.spec.window
-  int retries = 1;              // re-attempts before quarantining a throw
   bool check_invariants = false;  // run the replica with the cycle checker
-  // Watchdog deadline per execution attempt, in wall milliseconds; 0 = off.
-  // A fault-corrupted machine that wedges the simulation loop (or a hook
-  // that stalls) is converted into a TrialTimeoutError — quarantined as a
-  // Trial Error with a distinct timeout reason, never retried (a
-  // deterministic hang would hang every retry too). The deadline is checked
-  // at attempt start and every 256 simulated cycles, so enforcement
-  // granularity is a few hundred cycles, not instructions.
-  std::int64_t timeout_ms = 0;
-};
-
-// Thrown by the trial runner when an attempt exceeds TrialPolicy::timeout_ms.
-// Distinct from other trial failures so hosts can report kTrialTimeout
-// instead of a generic quarantine (and skip pointless retries).
-struct TrialTimeoutError : std::runtime_error {
-  explicit TrialTimeoutError(const std::string& what)
-      : std::runtime_error(what) {}
 };
 
 // Where a TrialSpec lands: the resolved timeline cycles and flipped bits.
@@ -104,8 +81,8 @@ FastPathPlan PlanFastPath(const GoldenSpec& spec,
 // Runs fault-injection trials against one golden run on a privately owned
 // core replica (campaign workers hold one runner each; the golden run is
 // shared read-only). Classification depends only on the golden run, the
-// TrialSpec, and the effective window — never on fast_path, retries, or how
-// many trials ran before.
+// TrialSpec, and the effective window — never on fast_path, on how many
+// attempts a trial took, or on how many trials ran before.
 class TrialRunner {
  public:
   explicit TrialRunner(std::shared_ptr<const GoldenRun> golden,
@@ -118,7 +95,6 @@ class TrialRunner {
     obs::PropagationTrace trace;
     bool fast = false;        // classified from first-access data, no sim
     bool quarantined = false; // record is the kTrialError stand-in
-    bool timed_out = false;   // quarantine cause was the watchdog deadline
     std::string error;        // last failure message when quarantined
   };
 
@@ -134,7 +110,8 @@ class TrialRunner {
         on_retry;
   };
 
-  // Runs one trial: up to 1 + max(retries, 0) attempts, then quarantine.
+  // Runs one trial: a throwing attempt is retried once, and a trial whose
+  // two attempts both threw is quarantined.
   // Under check_invariants, a structurally inconsistent machine also
   // quarantines (the violating attempt's trace is kept; the checker state
   // stays readable via core() until the next Run).
@@ -150,11 +127,6 @@ class TrialRunner {
   std::uint64_t window() const;
 
  private:
-  // Watchdog: armed per attempt; CheckDeadline throws TrialTimeoutError once
-  // the attempt has outlived policy_.timeout_ms.
-  void ArmDeadline();
-  void CheckDeadline() const;
-
   TrialRecord RunOnce(const TrialSpec& spec, obs::PropagationTrace* trace,
                       bool* fast);
   TrialRecord Simulate(const TrialSpec& spec, const InjectionSite& site,
@@ -165,65 +137,6 @@ class TrialRunner {
   std::shared_ptr<const GoldenRun> golden_;
   TrialPolicy policy_;
   std::unique_ptr<Core> core_;
-  std::chrono::steady_clock::time_point deadline_{};
 };
-
-// --- trial executors ---------------------------------------------------------
-//
-// An executor runs specs[first, size) against one golden run and reports each
-// trial it finishes exactly once through `on_done`. RunTrials (threads, below)
-// and RunTrialsIsolated (forked workers, inject/isolate.h) share a signature;
-// records never depend on which one ran or on `jobs`.
-
-// Why a trial was quarantined as Outcome::kTrialError.
-enum class QuarantineReason : std::uint8_t {
-  kException,  // execution threw (after retries) or violated an invariant
-  kTimeout,    // watchdog deadline (TrialPolicy::timeout_ms)
-  kCrash,      // isolated worker died (signal / nonzero exit)
-  kBudget,     // never ran: isolation restart budget exhausted
-};
-
-// One finished trial; campaigns keep one per trial index.
-struct CompletedTrial {
-  std::size_t index = 0;
-  TrialRecord record;  // the kTrialError stand-in when quarantined
-  std::optional<QuarantineReason> quarantine;  // set iff quarantined
-  std::string error;          // quarantine diagnostic (not persisted)
-  std::uint64_t status = 0;   // kCrash: signal number or exit status
-  std::uint64_t dur_us = 0;   // wall time (supervisor-observed for crashes)
-  int worker = 0;             // worker thread or subprocess slot
-  obs::PropagationTrace trace;  // when TrialExecOptions::want_trace
-  // Per-kind violation counts of a checked trial that was quarantined.
-  std::array<std::uint64_t, check::kNumInvariantKinds> violations{};
-};
-
-struct TrialExecOptions {
-  int jobs = 1;          // workers (resolved, >= 1), capped at the trials left
-  TrialPolicy policy;    // every worker's TrialRunner policy
-  bool want_trace = false;  // in-process only: traces don't cross the pipe
-  // Cooperative cancellation: in-flight trials finish, no new ones start.
-  CancellationToken* cancel = nullptr;
-  // Under isolation, before_attempt runs in the child (a crash or hang there
-  // exercises the supervisor) and on_retry is not called.
-  TrialRunner::Hooks hooks;
-  int max_restarts = 16;  // isolated only: worker respawns before exhaustion
-  bool verbose = false;   // isolated only: stderr notes on lost workers
-};
-
-struct TrialExecReport {
-  bool exhausted = false;      // isolation restart budget ran out
-  std::uint64_t restarts = 0;  // isolated workers respawned
-};
-
-using TrialCallback = std::function<void(CompletedTrial&&)>;
-
-// The in-process executor: `jobs` threads, each with a private TrialRunner,
-// pull the next unclaimed index; at jobs <= 1 the calling thread runs them
-// all. `on_done` runs on the workers, concurrently for distinct indices. An
-// exception outside a trial ends its worker and is rethrown after the join.
-TrialExecReport RunTrials(const std::shared_ptr<const GoldenRun>& golden,
-                          const std::vector<TrialSpec>& specs,
-                          std::size_t first, const TrialExecOptions& opt,
-                          const TrialCallback& on_done);
 
 }  // namespace tfsim

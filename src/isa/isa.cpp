@@ -54,10 +54,6 @@ std::int64_t Sext32(std::uint64_t v) {
   return static_cast<std::int32_t>(static_cast<std::uint32_t>(v));
 }
 
-bool AddOverflows(std::int64_t a, std::int64_t b, std::int64_t sum) {
-  return ((a ^ sum) & (b ^ sum)) < 0;
-}
-
 }  // namespace
 
 AluResult ExecuteAlu(const DecodedInst& d, std::uint64_t a, std::uint64_t b) {
@@ -134,13 +130,16 @@ AluResult ExecuteAlu(const DecodedInst& d, std::uint64_t a, std::uint64_t b) {
     case Op::kSextl:
       return {static_cast<std::uint64_t>(Sext32(b)), Exception::kNone};
     case Op::kAddv: {
-      const std::int64_t sum = sa + sb;
-      if (AddOverflows(sa, sb, sum)) return {0, Exception::kOverflow};
+      std::int64_t sum = 0;
+      if (__builtin_add_overflow(sa, sb, &sum))
+        return {0, Exception::kOverflow};
       return {static_cast<std::uint64_t>(sum), Exception::kNone};
     }
     case Op::kSubv: {
-      const std::int64_t diff = sa - sb;
-      if (AddOverflows(sa, -sb, diff) || sb == INT64_MIN)
+      // A subtrahend of INT64_MIN traps whatever the minuend: the model
+      // checks a - b as a + (-b), and -INT64_MIN does not exist.
+      std::int64_t diff = 0;
+      if (sb == INT64_MIN || __builtin_sub_overflow(sa, sb, &diff))
         return {0, Exception::kOverflow};
       return {static_cast<std::uint64_t>(diff), Exception::kNone};
     }

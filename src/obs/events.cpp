@@ -23,8 +23,6 @@ const char* MarkerName(EventKind k) {
   switch (k) {
     case EventKind::kTrialRetry: return "trial retry";
     case EventKind::kTrialQuarantine: return "trial quarantined";
-    case EventKind::kTrialCrash: return "trial crashed";
-    case EventKind::kTrialTimeout: return "trial timeout";
     case EventKind::kCheckpointFlush: return "checkpoint flush";
     case EventKind::kCheckpointDisabled: return "checkpoint disabled";
     case EventKind::kCancelRequested: return "cancelled";
@@ -46,8 +44,6 @@ const char* EventKindName(EventKind k) {
     case EventKind::kCheckpointFlush: return "checkpoint_flush";
     case EventKind::kCancelRequested: return "cancel_requested";
     case EventKind::kCampaignFinish: return "campaign_finish";
-    case EventKind::kTrialTimeout: return "trial_timeout";
-    case EventKind::kTrialCrash: return "trial_crash";
     case EventKind::kCheckpointDisabled: return "checkpoint_disabled";
   }
   return "unknown";
@@ -103,14 +99,6 @@ std::string RenderEventJson(const Event& e) {
       w.Field("trials_kept", e.value);
       w.Field("interrupted", e.interrupted);
       w.Field("events_dropped", e.dropped);
-      break;
-    case EventKind::kTrialTimeout:
-      w.Field("timeout_ms", e.value);
-      w.Field("error", e.detail);
-      break;
-    case EventKind::kTrialCrash:
-      w.Field("status", e.value);
-      w.Field("error", e.detail);
       break;
     case EventKind::kCheckpointDisabled:
       w.Field("error", e.detail);

@@ -1,6 +1,6 @@
 // Structured campaign event journal: every campaign-level happening
 // (start/finish, golden recorded, cache hit/store, per-trial completion with
-// outcome and wall time, retry/quarantine/timeout/crash, checkpoint flush,
+// outcome and wall time, retry/quarantine, checkpoint flush,
 // cancellation) becomes one typed Event, pushed into a bounded in-memory
 // queue and drained by a dedicated writer thread. Trial workers therefore
 // never perform journal I/O, and Emit() never blocks: when the queue is full
@@ -55,14 +55,10 @@ enum class EventKind : std::uint8_t {
   kCancelRequested,   // cooperative cancellation observed by the campaign
   kCampaignFinish,    // value=trials kept; interrupted flag set on cancel;
                       // dropped=events shed by the queue (the journal footer)
-  kTrialTimeout,      // watchdog quarantine: the trial exceeded the deadline
-                      // (value=timeout ms, detail=diagnostic)
-  kTrialCrash,        // isolated worker died mid-trial (value=signal or exit
-                      // status, detail=diagnostic); trial quarantined
   kCheckpointDisabled,// journal flush failed after retries; checkpointing is
                       // off for the rest of the run (detail=why)
 };
-inline constexpr int kNumEventKinds = 13;
+inline constexpr int kNumEventKinds = 11;
 const char* EventKindName(EventKind k);
 
 struct Event {
@@ -213,9 +209,9 @@ class ProgressSink : public EventSink {
 // The chrome trace's campaign lane (ChromeTraceWriter::kPidCampaign), drawn
 // from the journal: one span per kTrialDone on its worker's row, starting at
 // ts_us - dur_us on the journal clock, and one instant marker per retry,
-// quarantine, crash, timeout, checkpoint flush, disabled checkpointing or
-// cancellation. Resumed and cached trials emit no kTrialDone and get no
-// span; events shed to backpressure are missing here too. The writer is not
+// quarantine, checkpoint flush, disabled checkpointing or cancellation.
+// Resumed and cached trials emit no kTrialDone and get no span; events shed
+// to backpressure are missing here too. The writer is not
 // thread-safe and the golden run fills the pipeline lane from the campaign
 // thread, so the sink writes nothing before kGoldenDone, which is emitted
 // once golden recording is over.

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <map>
 #include <mutex>
-#include <new>
 #include <thread>
 #include <vector>
 
@@ -78,14 +77,6 @@ bool Evaluate(const char* site) {
   if (delay_us)
     std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
   return false;
-}
-
-void PrepareFork() { Reg().mu.lock(); }
-void ParentAfterFork() { Reg().mu.unlock(); }
-void ChildAfterFork() {
-  // The child owns a single-threaded copy of the registry whose mutex was
-  // held (by us, pre-fork) at the snapshot; re-initialize it in place.
-  new (&Reg().mu) std::mutex;
 }
 
 }  // namespace detail

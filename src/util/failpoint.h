@@ -1,7 +1,7 @@
 // Failpoint chaos engine: named fault-injection sites on the harness's own
 // durability and telemetry seams (cache stores, checkpoint flushes, JSONL
-// sinks, the trial cycle loop), so tests can prove campaigns degrade
-// gracefully under I/O failure instead of assuming it.
+// sinks), so tests can prove campaigns degrade gracefully under I/O failure
+// instead of assuming it.
 //
 // A site is a string constant at the seam:
 //
@@ -27,8 +27,6 @@
 //   ckpt.load            LoadCampaignCheckpoint (fires = no resume data)
 //   ckpt.store           StoreCampaignCheckpoint's write attempt (retried)
 //   events.jsonl.write   JsonlEventSink::OnEvent (fires = stream failure)
-//   trial.cycle          TrialRunner's cycle loop, every 256 cycles (kDelay
-//                        here simulates a wedged core for watchdog tests)
 #pragma once
 
 #include <atomic>
@@ -64,14 +62,6 @@ struct FailpointError : std::runtime_error {
 namespace detail {
 extern std::atomic<bool> g_armed;
 bool Evaluate(const char* site);
-// Fork protocol for multi-threaded parents (inject/isolate.cpp): the parent
-// holds the registry lock across fork() so no other thread can be mid-update
-// in the child's memory image; the child re-initializes the lock it
-// inherited. Everything else in the registry is plain data, so the child's
-// failpoints (e.g. trial.cycle delays) keep working after fork.
-void PrepareFork();
-void ParentAfterFork();
-void ChildAfterFork();
 }  // namespace detail
 
 // The per-site probe. Zero-cost when disarmed: one relaxed atomic load.
@@ -89,7 +79,7 @@ void Configure(std::string_view site, const Policy& policy);
 // entries separated by ';' or ','. Examples:
 //   cache.store=error@1in2            fail every other store attempt
 //   events.jsonl.write=throw#1        one exception from the JSONL sink
-//   trial.cycle=delay:20000@1in64     a 20ms stall every 64th probe
+//   cache.store=delay:20000#3         a 20ms stall on the first 3 stores
 //   ckpt.*=error                      every checkpoint seam error-returns
 // Returns false (with a diagnostic in *error) on malformed input; valid
 // prefix entries before the malformed one stay installed.

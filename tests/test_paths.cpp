@@ -1,5 +1,5 @@
 // Path equivalence: how a campaign's trials are executed never changes what
-// they classify. Every cell of {slow, fast, forked} x {jobs 1, jobs 4} x
+// they classify. Every cell of {slow, fast} x {jobs 1, jobs 4} x
 // {plain, resumed from a journal, durability failpoints armed} runs one spec
 // and must match a single reference run (slow path, one worker, nothing
 // persisted) in every trial record, distribution, heatmap, cache key and
@@ -15,7 +15,6 @@
 #include "campaign_fixture.h"
 #include "inject/cache.h"
 #include "inject/campaign.h"
-#include "inject/isolate.h"
 #include "inject/report.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -33,12 +32,12 @@ constexpr const char* kChaosSpec =
     "fs.atomic_write=error@1in3;cache.load=error@1in2;cache.store=error@1in2;"
     "ckpt.load=error@1in2;ckpt.store=error@1in2";
 
-enum class Path { kSlow, kFast, kIsolated };
+enum class Path { kSlow, kFast };
 enum class Mode { kPlain, kResume, kChaos };
 using Cell = std::tuple<Path, int, Mode>;
 
 std::string CellName(const Cell& cell) {
-  static const char* const kPaths[] = {"Slow", "Fast", "Isolated"};
+  static const char* const kPaths[] = {"Slow", "Fast"};
   static const char* const kModes[] = {"Plain", "Resume", "Chaos"};
   const auto [path, jobs, mode] = cell;
   return std::string(kPaths[static_cast<int>(path)]) + "_Jobs" +
@@ -104,8 +103,6 @@ class PathEquivalence : public ::testing::TestWithParam<Cell> {};
 
 TEST_P(PathEquivalence, MatchesReference) {
   const auto [path, jobs, mode] = GetParam();
-  if (path == Path::kIsolated && !IsolationSupported())
-    GTEST_SKIP() << "fork isolation is POSIX only";
   const Observed& ref = Reference();
   ASSERT_EQ(ref.result.trials.size(), static_cast<std::size_t>(kTrials));
   ASSERT_EQ(ref.trial_done.size(), static_cast<std::size_t>(kTrials));
@@ -120,15 +117,14 @@ TEST_P(PathEquivalence, MatchesReference) {
   CampaignOptions opt = QuietLive();
   opt.jobs = jobs;
   opt.fast_path = path != Path::kSlow;
-  opt.isolate_trials = path == Path::kIsolated;
-  // Isolation needs untraced trials, and journals and cache entries never
-  // hold traces, so only in-process plain cells trace.
-  const bool traced = mode == Mode::kPlain && path != Path::kIsolated;
+  // Journals and cache entries never hold traces, so only plain cells
+  // trace.
+  const bool traced = mode == Mode::kPlain;
   opt.obs.collect_prop_traces = traced;
   std::size_t first_live = 0;
   if (mode == Mode::kResume) {
-    // Seeded rather than interrupted: a cancel hook runs in the forked
-    // worker under isolation and cannot reach the parent's token.
+    // Seeded rather than interrupted, so every cell resumes from the same
+    // prefix whatever its worker count.
     first_live = kResumed;
     ASSERT_TRUE(StoreCampaignCheckpoint(
         spec, {ref.result.trials.begin(),
@@ -144,8 +140,6 @@ TEST_P(PathEquivalence, MatchesReference) {
 
   const CampaignResult& r = got.result;
   EXPECT_FALSE(r.interrupted);
-  EXPECT_FALSE(r.containment_exhausted);
-  EXPECT_EQ(r.worker_restarts, 0u);
   EXPECT_TRUE(r.quarantined.empty());
   EXPECT_EQ(r.trials, ref.result.trials);
   EXPECT_EQ(r.ByOutcome(), ref.result.ByOutcome());
@@ -166,9 +160,7 @@ TEST_P(PathEquivalence, MatchesReference) {
 
   if (mode == Mode::kPlain) {
     EXPECT_EQ(got.metrics, ref.metrics);
-    if (traced) {
-      EXPECT_EQ(TraceRows(r), TraceRows(ref.result));
-    }
+    EXPECT_EQ(TraceRows(r), TraceRows(ref.result));
   } else if (mode == Mode::kResume) {
     EXPECT_EQ(got.resumed_trials, kResumed);
     EXPECT_FALSE(std::filesystem::exists(CampaignCheckpointPath(spec)))
@@ -179,7 +171,7 @@ TEST_P(PathEquivalence, MatchesReference) {
 INSTANTIATE_TEST_SUITE_P(
     Cells, PathEquivalence,
     ::testing::Combine(
-        ::testing::Values(Path::kSlow, Path::kFast, Path::kIsolated),
+        ::testing::Values(Path::kSlow, Path::kFast),
         ::testing::Values(1, 4),
         ::testing::Values(Mode::kPlain, Mode::kResume, Mode::kChaos)),
     [](const ::testing::TestParamInfo<Cell>& p) { return CellName(p.param); });

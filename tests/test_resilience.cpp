@@ -181,7 +181,6 @@ TEST(Quarantine, ThrowingTrialDoesNotAbortTheCampaign) {
   obs::MetricsRegistry metrics;
   CampaignOptions opt = QuietLive();
   opt.jobs = 4;
-  opt.retries = 1;
   opt.obs.sinks.metrics = &metrics;
   opt.trial_fault_hook = [](std::size_t i) {
     if (i == 3) throw std::runtime_error("deliberate trial fault");
@@ -209,7 +208,6 @@ TEST(Quarantine, TransientFailureIsAbsorbedByRetry) {
 
   std::atomic<int> faults{0};
   CampaignOptions opt = QuietLive();
-  opt.retries = 1;
   opt.trial_fault_hook = [&faults](std::size_t i) {
     // Throws on the first attempt of trial 2 only; the retry succeeds.
     if (i == 2 && faults.fetch_add(1) == 0)
@@ -220,17 +218,48 @@ TEST(Quarantine, TransientFailureIsAbsorbedByRetry) {
   EXPECT_TRUE(r.quarantined.empty());
   EXPECT_EQ(r.trials, reference.trials);
 
-  // With retries disabled the same transient quarantines the trial.
-  std::atomic<int> faults2{0};
-  CampaignOptions no_retry = QuietLive();
-  no_retry.retries = 0;
-  no_retry.trial_fault_hook = [&faults2](std::size_t i) {
-    if (i == 2 && faults2.fetch_add(1) == 0)
-      throw std::runtime_error("transient");
+  // A failure that outlives the one retry quarantines the trial after
+  // exactly two attempts.
+  std::atomic<int> attempts{0};
+  CampaignOptions persistent = QuietLive();
+  persistent.trial_fault_hook = [&attempts](std::size_t i) {
+    if (i != 2) return;
+    attempts.fetch_add(1);
+    throw std::runtime_error("persistent");
   };
-  const CampaignResult q = RunCampaign(spec, no_retry);
+  const CampaignResult q = RunCampaign(spec, persistent);
+  EXPECT_EQ(attempts.load(), 2);
   ASSERT_EQ(q.quarantined.size(), 1u);
   EXPECT_EQ(q.quarantined[0].index, 2u);
+  EXPECT_EQ(q.quarantined[0].message, "persistent");
+}
+
+TEST(Quarantine, QuarantinedResultIsNotCached) {
+  // A quarantine is a hole in the sample whose cause (an exception, an
+  // allocation failure) is not part of the CacheKey, so a result holding
+  // one must not be served to a later run.
+  ScopedCacheDir cache("tfi_test_quarantine_cache");
+  const CampaignSpec spec = SmallCampaign(10);
+  const CampaignResult reference = RunCampaign(spec, QuietLive());
+
+  CampaignOptions faulty = QuietLive();
+  faulty.use_cache = true;
+  faulty.trial_fault_hook = [](std::size_t i) {
+    if (i == 3) throw std::runtime_error("host fault on every attempt");
+  };
+  const CampaignResult holed = RunCampaign(spec, faulty);
+  ASSERT_EQ(holed.quarantined.size(), 1u);
+  EXPECT_EQ(holed.trials[3].outcome, Outcome::kTrialError);
+
+  obs::MetricsRegistry metrics;
+  CampaignOptions clean = QuietLive();
+  clean.use_cache = true;
+  clean.obs.sinks.metrics = &metrics;
+  const CampaignResult r = RunCampaign(spec, clean);
+  EXPECT_EQ(metrics.GetCounter("campaign.cache.hits").value(), 0u);
+  EXPECT_EQ(metrics.GetCounter("campaign.cache.misses").value(), 1u);
+  EXPECT_TRUE(r.quarantined.empty());
+  EXPECT_EQ(r.trials, reference.trials);
 }
 
 TEST(CheckpointResume, SeededJournalYieldsByteIdenticalRecords) {

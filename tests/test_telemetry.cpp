@@ -6,11 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <mutex>
-#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -197,7 +198,6 @@ TEST(Telemetry, RetryAndQuarantineBecomeEvents) {
   CampaignOptions opt;
   opt.verbose = false;
   opt.use_cache = false;
-  opt.retries = 1;
   opt.obs.events = &journal;
   opt.trial_fault_hook = [](std::size_t i) {
     if (i == 3) throw std::runtime_error("injected host fault");
@@ -308,6 +308,52 @@ TEST(Telemetry, CacheHitPathStillBracketsTheJournal) {
   EXPECT_EQ(events.back().value, 10u);
 }
 
+// One campaign-lane event object of a chrome trace. ChromeTraceWriter
+// writes name, ph, pid, tid, then ts and dur if any, so the lane's events
+// (pid 2, ChromeTraceWriter::kPidCampaign) are found by a plain scan for
+// that field order; ts and dur are empty when absent.
+struct LaneEvent {
+  std::string name;
+  char ph = 0;
+  std::string tid, ts, dur;
+};
+
+std::vector<LaneEvent> CampaignLaneEvents(const std::string& json) {
+  // Consumes `lit` at `pos`, or leaves `pos` alone and returns false.
+  auto eat = [&json](std::size_t& pos, std::string_view lit) {
+    if (json.compare(pos, lit.size(), lit) != 0) return false;
+    pos += lit.size();
+    return true;
+  };
+  auto digits = [&json](std::size_t& pos) {
+    const std::size_t start = pos;
+    while (pos < json.size() &&
+           std::isdigit(static_cast<unsigned char>(json[pos])))
+      ++pos;
+    return json.substr(start, pos - start);
+  };
+  constexpr std::string_view kOpen = R"({"name":")";
+  std::vector<LaneEvent> out;
+  for (std::size_t at = json.find(kOpen); at != std::string::npos;
+       at = json.find(kOpen, at + 1)) {
+    std::size_t pos = at + kOpen.size();
+    const std::size_t name_end = json.find('"', pos);
+    if (name_end == std::string::npos) break;
+    LaneEvent e;
+    e.name = json.substr(pos, name_end - pos);
+    pos = name_end;
+    if (!eat(pos, R"(","ph":")") || pos >= json.size()) continue;
+    e.ph = json[pos++];
+    if (!eat(pos, R"(","pid":2,"tid":)")) continue;
+    e.tid = digits(pos);
+    if (e.tid.empty()) continue;
+    if (eat(pos, R"(,"ts":)")) e.ts = digits(pos);
+    if (eat(pos, R"(,"dur":)")) e.dur = digits(pos);
+    out.push_back(std::move(e));
+  }
+  return out;
+}
+
 // The chrome campaign lane is drawn from the event journal. A campaign
 // interrupted, then resumed with a chrome writer at --jobs 2 and a retrying
 // fault hook, must show one span per trial that ran (none for the resumed
@@ -350,27 +396,20 @@ TEST(Telemetry, ChromeLaneDerivesFromTheJournal) {
   ASSERT_FALSE(r.interrupted);
   ASSERT_EQ(r.trials.size(), 30u);
 
-  // ChromeTraceWriter writes name, ph, pid, tid, then ts and dur if any;
-  // pid 2 is ChromeTraceWriter::kPidCampaign.
   std::ostringstream os;
   chrome.WriteTo(os);
   const std::string json = os.str();
-  static const std::regex kEvent(
-      R"re(\{"name":"([^"]*)","ph":"(.)","pid":2,"tid":(\d+))re"
-      R"re((,"ts":(\d+))?(,"dur":(\d+))?)re");
   std::vector<std::pair<std::string, std::string>> markers, expected;
   std::set<std::string> span_rows, named_rows;
   std::size_t spans = 0;
-  for (auto it = std::sregex_iterator(json.begin(), json.end(), kEvent);
-       it != std::sregex_iterator(); ++it) {
-    const std::smatch& m = *it;
-    if (m[2] == "X") {
+  for (const LaneEvent& e : CampaignLaneEvents(json)) {
+    if (e.ph == 'X') {
       ++spans;
-      span_rows.insert(m[3]);
-      EXPECT_FALSE(m[5] == "0" && m[7] == "0") << "phantom span " << m[1];
+      span_rows.insert(e.tid);
+      EXPECT_FALSE(e.ts == "0" && e.dur == "0") << "phantom span " << e.name;
     }
-    if (m[2] == "I") markers.emplace_back(m[1], m[5]);
-    if (m[2] == "M" && m[1] == "thread_name") named_rows.insert(m[3]);
+    if (e.ph == 'I') markers.emplace_back(e.name, e.ts);
+    if (e.ph == 'M' && e.name == "thread_name") named_rows.insert(e.tid);
   }
   EXPECT_EQ(spans, 30u - resumed);
 

@@ -19,16 +19,10 @@
 //                   TFI_CHECKPOINT_EVERY; 0 disables; SIGINT drains
 //                   in-flight trials, flushes the checkpoint + partial
 //                   exports, and a rerun resumes from the journal)
-//                   [--trial-timeout MS] (watchdog: hung trials quarantine
-//                   as Trial Error; default 0 = off, env TFI_TRIAL_TIMEOUT)
-//                   [--isolate-trials] (forked-worker crash containment;
-//                   POSIX only)
 //                   TFI_FAILPOINTS=<spec> arms the chaos failpoints
 //                   (util/failpoint.h) for fault drills
 //
-// Exit codes: 0 success; 130 SIGINT (partial results checkpointed); 3 the
-// --isolate-trials worker-restart budget was exhausted (remaining trials
-// quarantined, result not cached; rerun to resume).
+// Exit codes: 0 success; 130 SIGINT (partial results checkpointed).
 //   tfi soft <workload> <model> [--trials N]             Section 5 campaign
 //   tfi inventory [--protect]                            Table 1 state listing
 //       audit: [--json] [--coverage] [--check --baseline FILE]
@@ -103,8 +97,6 @@ struct Args {
   std::int64_t jobs = 1;
   // Environment defaults; the flags of the same name override them.
   std::int64_t checkpoint_every = EnvInt("TFI_CHECKPOINT_EVERY", 250);
-  std::int64_t trial_timeout = EnvInt("TFI_TRIAL_TIMEOUT", 0);  // ms; 0 = off
-  bool isolate_trials = false;
   std::int64_t window = 0;  // 0 = GoldenSpec default (or TFI_WINDOW)
   bool fast_path = false;   // accepted for symmetry; fast is the default
   bool no_fast_path = false;
@@ -150,14 +142,6 @@ ArgParser MakeParser(Args& a) {
   p.AddInt("checkpoint-every", &a.checkpoint_every,
            "flush a resume journal every N trials; 0 disables (campaign; "
            "default 250 or TFI_CHECKPOINT_EVERY)");
-  p.AddInt("trial-timeout", &a.trial_timeout,
-           "watchdog deadline per trial in ms; hung trials quarantine as "
-           "Trial Error instead of stalling a worker; 0 disables (campaign; "
-           "default 0 or TFI_TRIAL_TIMEOUT)");
-  p.AddFlag("isolate-trials", &a.isolate_trials,
-            "run trials in forked worker subprocesses so a crashing trial "
-            "is contained, recorded and the campaign continues (campaign; "
-            "POSIX only)");
   p.AddInt("window", &a.window,
            "trial observation window in cycles; 0 = default 10000 or "
            "TFI_WINDOW (campaign; part of the results-cache key)");
@@ -447,8 +431,6 @@ int CmdCampaign(const Args& a) {
   CampaignOptions opt;
   opt.jobs = static_cast<int>(a.jobs);
   opt.checkpoint_every = static_cast<int>(a.checkpoint_every);
-  opt.trial_timeout_ms = a.trial_timeout;
-  opt.isolate_trials = a.isolate_trials;
   opt.cancel = &g_interrupt;
   if (!a.metrics_json.empty()) opt.obs.sinks.metrics = &metrics;
   if (!a.chrome_trace.empty()) opt.obs.sinks.chrome = &chrome;
@@ -532,9 +514,8 @@ int CmdCampaign(const Args& a) {
       std::printf("    %-8s %llu\n", FailureModeName(static_cast<FailureMode>(i)),
                   (unsigned long long)m[i]);
   for (const auto& q : r.quarantined)
-    std::fprintf(stderr, "  quarantined trial %llu [%s]: %s\n",
-                 (unsigned long long)q.index, QuarantineReasonName(q.reason),
-                 q.message.c_str());
+    std::fprintf(stderr, "  quarantined trial %llu: %s\n",
+                 (unsigned long long)q.index, q.message.c_str());
   if (r.interrupted) {
     std::fprintf(stderr,
                  "interrupted: %zu/%d trials completed%s; rerun the same "
@@ -542,15 +523,6 @@ int CmdCampaign(const Args& a) {
                  r.trials.size(), spec.trials,
                  a.checkpoint_every > 0 ? " (checkpoint saved)" : "");
     return 130;
-  }
-  if (r.containment_exhausted) {
-    std::fprintf(stderr,
-                 "containment exhausted: worker restart budget spent after "
-                 "%llu respawns; un-run trials were quarantined and the "
-                 "result was NOT cached — rerun to resume from the "
-                 "checkpoint\n",
-                 (unsigned long long)r.worker_restarts);
-    return 3;
   }
   return 0;
 }
@@ -603,8 +575,6 @@ int CmdSweep(const Args& a) {
   CampaignOptions opt;
   opt.jobs = static_cast<int>(a.jobs);
   opt.checkpoint_every = static_cast<int>(a.checkpoint_every);
-  opt.trial_timeout_ms = a.trial_timeout;
-  opt.isolate_trials = a.isolate_trials;
   opt.cancel = &g_interrupt;
   opt.obs.progress = a.progress;
   opt.check_invariants = a.check;
