@@ -24,7 +24,6 @@ BenchOptions& MutableOptions() {
     o.trials = EnvInt("TFI_TRIALS", 500);
     o.points = EnvInt("TFI_POINTS", 12);
     o.jobs = EnvInt("TFI_JOBS", 1);
-    o.checkpoint_every = EnvInt("TFI_CHECKPOINT_EVERY", 0);
     o.progress = EnvInt("TFI_PROGRESS", 0) != 0;
     o.metrics_json = EnvStr("TFI_METRICS_JSON", "");
     return o;
@@ -59,7 +58,6 @@ const BenchOptions& Options() { return MutableOptions(); }
 CampaignOptions RunOpts() {
   CampaignOptions opt;
   opt.jobs = static_cast<int>(Options().jobs);
-  opt.checkpoint_every = static_cast<int>(Options().checkpoint_every);
   opt.obs.progress = Options().progress;
   return opt;
 }

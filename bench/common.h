@@ -8,8 +8,6 @@
 //   TFI_SOFT_TRIALS trials per benchmark per fault model (default 100)
 //   TFI_POINTS     checkpoints (start points) per golden  (default 12)
 //   TFI_JOBS       trial-loop worker threads; 0 = all hardware threads
-//   TFI_CHECKPOINT_EVERY  flush a resume journal every N trials (default 0
-//                         = off; no flag)
 //   TFI_CACHE_DIR  results cache directory (default ./.tfi_cache)
 //   TFI_PROGRESS   =1: per-campaign progress lines (trials/sec, outcome mix)
 //   TFI_METRICS_JSON  write a cumulative metrics-registry JSON snapshot to
@@ -39,7 +37,6 @@ struct BenchOptions {
   std::int64_t trials = 500;
   std::int64_t points = 12;
   std::int64_t jobs = 1;
-  std::int64_t checkpoint_every = 0;
   bool progress = false;
   std::string metrics_json;
 };
@@ -51,8 +48,8 @@ void Init(int argc, char** argv);
 // The options Init resolved (environment defaults if Init was never called).
 const BenchOptions& Options();
 
-// Campaign execution options derived from Options(): jobs, checkpointing
-// and progress are threaded through; metrics are attached by Suite() only
+// Campaign execution options derived from Options(): jobs and progress are
+// threaded through; metrics are attached by Suite() only
 // (per-campaign callers that want telemetry attach their own sinks).
 CampaignOptions RunOpts();
 

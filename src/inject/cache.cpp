@@ -19,7 +19,6 @@ namespace tfsim {
 namespace {
 
 constexpr const char* kMagicV2 = "tfi-cache v2";
-constexpr const char* kCkptMagic = "tfi-ckpt v1";
 
 // --- record serialization ----------------------------------------------------
 
@@ -84,9 +83,9 @@ bool ParseResultPayload(std::istream& in, CampaignResult& r) {
 //   <crc32 hex> <payload bytes>\n
 //   <payload>
 
-std::string WrapChecksummed(const char* magic, const std::string& payload) {
+std::string WrapChecksummed(const std::string& payload) {
   std::ostringstream os;
-  os << magic << '\n' << std::hex << Crc32(payload) << std::dec << ' '
+  os << kMagicV2 << '\n' << std::hex << Crc32(payload) << std::dec << ' '
      << payload.size() << '\n'
      << payload;
   return os.str();
@@ -112,44 +111,12 @@ std::optional<std::string> ReadChecksummed(std::istream& in) {
   return payload;
 }
 
-// Best-effort atomic store shared by the cache and the journal: ensures the
-// directory, writes temp + rename, retries transient failures with bounded
-// backoff, and surfaces final failure via stderr and the named counter
-// instead of silently dropping hours of results. `failpoint` is the chaos
-// site evaluated once per attempt (so a one-in-2 policy fails the first
-// attempt and lets the retry succeed).
+// Cache stores retry transient failures with bounded backoff.
 constexpr int kStoreAttempts = 3;
 constexpr std::uint64_t kStoreBackoffUs = 1000;  // 1ms, then 4ms
 
-bool StoreEnvelope(const std::filesystem::path& path, const char* magic,
-                   const std::string& payload, const char* failpoint,
-                   const char* failure_counter, obs::MetricsRegistry* metrics) {
-  const std::string data = WrapChecksummed(magic, payload);
-  std::string error;
-  for (int attempt = 0; attempt < kStoreAttempts; ++attempt) {
-    if (attempt > 0)
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          kStoreBackoffUs << (2 * (attempt - 1))));
-    error.clear();
-    // The directory may have been removed between attempts (or never
-    // existed); re-ensure it inside the retry loop.
-    std::error_code ec;
-    std::filesystem::create_directories(path.parent_path(), ec);
-    if (ec) {
-      error = "cannot create " + path.parent_path().string() + ": " +
-              ec.message();
-      continue;
-    }
-    if (fail::FailHere(failpoint)) {
-      error = std::string("failpoint: ") + failpoint;
-      continue;
-    }
-    if (AtomicWriteFile(path, data, &error)) return true;
-  }
-  std::fprintf(stderr, "[cache] store failed after %d attempts: %s\n",
-               kStoreAttempts, error.c_str());
-  if (metrics) metrics->GetCounter(failure_counter).Inc();
-  return false;
+std::filesystem::path CachePath(const CampaignSpec& spec) {
+  return std::filesystem::path(CacheDir()) / (spec.CacheKey() + ".txt");
 }
 
 }  // namespace
@@ -163,9 +130,7 @@ std::optional<CampaignResult> LoadCachedCampaign(const CampaignSpec& spec) {
   // cache file: the campaign re-runs cleanly (the graceful-degradation path
   // chaos tests pin).
   if (fail::FailHere("cache.load")) return std::nullopt;
-  const std::filesystem::path path =
-      std::filesystem::path(CacheDir()) / (spec.CacheKey() + ".txt");
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(CachePath(spec), std::ios::binary);
   if (!in) return std::nullopt;
 
   std::string magic;
@@ -183,61 +148,40 @@ std::optional<CampaignResult> LoadCachedCampaign(const CampaignSpec& spec) {
   return std::nullopt;
 }
 
+// Best-effort atomic store: ensures the directory, writes temp + rename,
+// and surfaces final failure via stderr and the store_failures counter
+// instead of silently dropping hours of results. The `cache.store` chaos
+// site is evaluated once per attempt (so a one-in-2 policy fails the first
+// attempt and lets the retry succeed).
 bool StoreCachedCampaign(const CampaignResult& result,
                          obs::MetricsRegistry* metrics) {
-  const std::filesystem::path path =
-      std::filesystem::path(CacheDir()) / (result.spec.CacheKey() + ".txt");
-  return StoreEnvelope(path, kMagicV2, SerializeResultPayload(result),
-                       "cache.store", "campaign.cache.store_failures",
-                       metrics);
-}
-
-// --- checkpoint journal ------------------------------------------------------
-//
-// Journal payload: the campaign's total trial count (a cross-check against
-// the spec, though the CacheKey already pins it) followed by the completed
-// prefix length and that many records in trial-index order.
-
-std::string CampaignCheckpointPath(const CampaignSpec& spec) {
-  return (std::filesystem::path(CacheDir()) / (spec.CacheKey() + ".ckpt"))
-      .string();
-}
-
-std::optional<std::vector<TrialRecord>> LoadCampaignCheckpoint(
-    const CampaignSpec& spec) {
-  if (fail::FailHere("ckpt.load")) return std::nullopt;
-  std::ifstream in(CampaignCheckpointPath(spec), std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string magic;
-  std::getline(in, magic);
-  if (magic != kCkptMagic) return std::nullopt;
-  const auto payload = ReadChecksummed(in);
-  if (!payload) return std::nullopt;
-  std::istringstream body(*payload);
-  std::size_t total = 0, done = 0;
-  body >> total >> done;
-  if (!body || total != static_cast<std::size_t>(spec.trials) || done > total)
-    return std::nullopt;
-  std::vector<TrialRecord> prefix(done);
-  for (auto& t : prefix)
-    if (!ReadTrial(body, t)) return std::nullopt;
-  return prefix;
-}
-
-bool StoreCampaignCheckpoint(const CampaignSpec& spec,
-                             const std::vector<TrialRecord>& prefix,
-                             obs::MetricsRegistry* metrics) {
-  std::ostringstream os;
-  os << spec.trials << '\n' << prefix.size() << '\n';
-  for (const auto& t : prefix) WriteTrial(os, t);
-  return StoreEnvelope(CampaignCheckpointPath(spec), kCkptMagic, os.str(),
-                       "ckpt.store", "campaign.checkpoint.store_failures",
-                       metrics);
-}
-
-void RemoveCampaignCheckpoint(const CampaignSpec& spec) {
-  std::error_code ec;
-  std::filesystem::remove(CampaignCheckpointPath(spec), ec);
+  const std::filesystem::path path = CachePath(result.spec);
+  const std::string data = WrapChecksummed(SerializeResultPayload(result));
+  std::string error;
+  for (int attempt = 0; attempt < kStoreAttempts; ++attempt) {
+    if (attempt > 0)
+      std::this_thread::sleep_for(std::chrono::microseconds(
+          kStoreBackoffUs << (2 * (attempt - 1))));
+    error.clear();
+    // The directory may have been removed between attempts (or never
+    // existed); re-ensure it inside the retry loop.
+    std::error_code ec;
+    std::filesystem::create_directories(path.parent_path(), ec);
+    if (ec) {
+      error = "cannot create " + path.parent_path().string() + ": " +
+              ec.message();
+      continue;
+    }
+    if (fail::FailHere("cache.store")) {
+      error = "failpoint: cache.store";
+      continue;
+    }
+    if (AtomicWriteFile(path, data, &error)) return true;
+  }
+  std::fprintf(stderr, "[cache] store failed after %d attempts: %s\n",
+               kStoreAttempts, error.c_str());
+  if (metrics) metrics->GetCounter("campaign.cache.store_failures").Inc();
+  return false;
 }
 
 }  // namespace tfsim

@@ -1,4 +1,4 @@
-// On-disk campaign results cache and checkpoint journals.
+// On-disk campaign results cache.
 //
 // Several paper figures derive from the same campaign (Figures 3/4/7/8 share
 // the latches+RAMs baseline campaign), and each bench binary regenerates one
@@ -10,17 +10,12 @@
 // temp-file + atomic rename, with every floating-point field serialized at
 // max_digits10 so cache hits reproduce golden stats bit-exactly. Files whose
 // magic line, checksum, length or structure do not verify are treated as
-// absent (the campaign re-runs cleanly).
-//
-// Checkpoint journals ("<key>.ckpt", same checksummed-atomic envelope) hold
-// the contiguous completed-trial prefix of an in-flight campaign, flushed
-// every CampaignOptions::checkpoint_every trials and on interruption, so a
-// killed campaign resumes exactly where it stopped.
+// absent (the campaign re-runs cleanly). Only completed campaigns are
+// stored; nothing on disk describes a campaign that is half done.
 #pragma once
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "inject/campaign.h"
 
@@ -37,28 +32,5 @@ std::optional<CampaignResult> LoadCachedCampaign(const CampaignSpec& spec);
 // Chaos sites: `cache.store` per attempt, `fs.atomic_write` underneath.
 bool StoreCachedCampaign(const CampaignResult& result,
                          obs::MetricsRegistry* metrics = nullptr);
-
-// --- checkpoint journal ------------------------------------------------------
-
-// Loads the checkpoint journal for `spec`, if a valid one exists. The
-// returned records are the contiguous completed prefix (trial indices
-// [0, size)) of a previous interrupted run of the same CacheKey.
-std::optional<std::vector<TrialRecord>> LoadCampaignCheckpoint(
-    const CampaignSpec& spec);
-
-// Atomically writes the checkpoint journal for `spec` holding `prefix`
-// (completed trials [0, prefix.size())). Best-effort like the cache store,
-// with the same retry/backoff; final failures increment
-// `campaign.checkpoint.store_failures` (and the campaign then disables
-// checkpointing for the rest of the run — see RunCampaign).
-bool StoreCampaignCheckpoint(const CampaignSpec& spec,
-                             const std::vector<TrialRecord>& prefix,
-                             obs::MetricsRegistry* metrics = nullptr);
-
-// Deletes the journal for `spec` (after the campaign completes).
-void RemoveCampaignCheckpoint(const CampaignSpec& spec);
-
-// Journal path for `spec` (exposed for tests and diagnostics).
-std::string CampaignCheckpointPath(const CampaignSpec& spec);
 
 }  // namespace tfsim

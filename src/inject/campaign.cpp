@@ -8,7 +8,6 @@
 #include <exception>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -157,16 +156,16 @@ struct CampaignRun {
   }
 
   // The finish event, then a drain so the journal (with the --progress
-  // summary and the chrome lane) is complete when RunCampaign returns, also
-  // on interruption. The event carries the number of events the (shared,
-  // possibly pre-used) journal shed to backpressure during THIS campaign.
-  void Finish(std::uint64_t kept, bool interrupted) const {
+  // summary and the chrome lane) is complete when RunCampaign returns. The
+  // event carries the number of events the (shared, possibly pre-used)
+  // journal shed to backpressure during THIS campaign.
+  void Finish(std::uint64_t kept) const {
     if (!journal) return;
     const std::uint64_t dropped = journal->dropped() - dropped_before;
     if (metrics && dropped)
       metrics->GetCounter("campaign.events.dropped").Inc(dropped);
     journal->Emit({.kind = obs::EventKind::kCampaignFinish, .value = kept,
-                   .interrupted = interrupted, .dropped = dropped});
+                   .dropped = dropped});
     journal->Flush();
   }
 
@@ -175,8 +174,8 @@ struct CampaignRun {
   const std::string key;
   // Checked campaigns run every trial core with the per-cycle invariant
   // checker and quarantine structural violations. The CacheKey does not
-  // hash execution options, so checked runs bypass the cache and the
-  // checkpoint journal in both directions.
+  // hash execution options, so checked runs bypass the cache in both
+  // directions.
   const bool checked;
   const bool tracing;
   obs::MetricsRegistry* const metrics;
@@ -291,112 +290,6 @@ struct CompletedTrial {
   std::array<std::uint64_t, check::kNumInvariantKinds> violations{};
 };
 
-// Per-index trial slots and the checkpoint journal over their contiguous
-// completed prefix. A slot is written once, by its trial's completion; the
-// release store of its flag pairs with the acquire scan of the prefix, so
-// the prefix's slots can be read while other trials still run. Traced runs
-// never journal: the journal holds records only, and a resumed prefix
-// without its traces would break trace/record parallelism.
-class TrialSlots {
- public:
-  TrialSlots(const CampaignRun& c, std::size_t n)
-      : c_(c),
-        slots_(n),
-        done_(std::make_unique<std::atomic<bool>[]>(n)),
-        every_(c.tracing || c.checked || c.opt.checkpoint_every <= 0
-                   ? 0
-                   : static_cast<std::uint64_t>(c.opt.checkpoint_every)) {}
-
-  std::vector<CompletedTrial>& slots() { return slots_; }
-  bool journaling() const { return every_ != 0; }
-
-  // Restores the prefix an interrupted run of this CacheKey journaled;
-  // returns its length.
-  std::size_t Resume() {
-    std::optional<std::vector<TrialRecord>> ckpt;
-    if (every_) ckpt = LoadCampaignCheckpoint(c_.spec);
-    if (!ckpt || ckpt->empty()) return 0;
-    const std::size_t resumed = std::min(ckpt->size(), slots_.size());
-    for (std::size_t i = 0; i < resumed; ++i) {
-      slots_[i].record = (*ckpt)[i];
-      done_[i].store(true, std::memory_order_relaxed);
-    }
-    prefix_ = flushed_ = resumed;
-    count_.store(resumed, std::memory_order_relaxed);
-    if (c_.metrics)
-      c_.metrics->GetCounter("campaign.checkpoint.resumed_trials").Inc(resumed);
-    if (c_.opt.verbose)
-      std::fprintf(stderr,
-                   "[campaign %s] resumed %zu/%zu trials from checkpoint\n",
-                   c_.key.c_str(), resumed, slots_.size());
-    return resumed;
-  }
-
-  void Complete(CompletedTrial&& t) {
-    const std::size_t i = t.index;
-    slots_[i] = std::move(t);
-    done_[i].store(true, std::memory_order_release);
-    const std::uint64_t d = count_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (every_ && d % every_ == 0) Flush();
-  }
-
-  std::size_t Prefix() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return AdvanceLocked();
-  }
-
-  // Writes the prefix when it has grown past what is on disk. The store
-  // retries with backoff; a flush that still fails (disk full, permissions)
-  // disables checkpointing for the rest of the run with one warning and one
-  // kCheckpointDisabled event. The campaign goes on; only resumability of
-  // THIS run is lost.
-  void Flush() {
-    if (!every_) return;
-    std::lock_guard<std::mutex> lock(mu_);
-    if (disabled_ || AdvanceLocked() == flushed_) return;
-    std::vector<TrialRecord> prefix;
-    prefix.reserve(prefix_);
-    for (std::size_t i = 0; i < prefix_; ++i)
-      prefix.push_back(slots_[i].record);
-    if (!StoreCampaignCheckpoint(c_.spec, prefix, c_.metrics)) {
-      disabled_ = true;
-      std::fprintf(stderr,
-                   "[campaign %s] checkpoint flush failed; checkpointing "
-                   "disabled for the rest of this run\n",
-                   c_.key.c_str());
-      c_.Emit(obs::EventKind::kCheckpointDisabled, 0, -1,
-              "checkpoint flush failed; checkpointing disabled");
-      return;
-    }
-    flushed_ = prefix_;
-    c_.Emit(obs::EventKind::kCheckpointFlush, flushed_);
-  }
-
-  // A completed result subsumes the journal; dropping it lets the next run
-  // of this CacheKey start clean (or hit the cache).
-  void Retire() {
-    if (every_) RemoveCampaignCheckpoint(c_.spec);
-  }
-
- private:
-  std::size_t AdvanceLocked() {
-    while (prefix_ < slots_.size() &&
-           done_[prefix_].load(std::memory_order_acquire))
-      ++prefix_;
-    return prefix_;
-  }
-
-  const CampaignRun& c_;
-  std::vector<CompletedTrial> slots_;
-  std::unique_ptr<std::atomic<bool>[]> done_;
-  const std::uint64_t every_;
-  std::atomic<std::uint64_t> count_{0};  // completions, resumed ones included
-  std::mutex mu_;
-  std::size_t prefix_ = 0;  // guarded by mu_, as are the two below
-  std::size_t flushed_ = 0;
-  bool disabled_ = false;
-};
-
 // Journal events for one completed trial: its quarantine, if any, then
 // kTrialDone. The site is resolved against the probe replica; its category
 // and storage come from the site, not the record, whose quarantine stand-in
@@ -423,17 +316,19 @@ void EmitCompletion(const CampaignRun& c, const Plan& p,
   c.Emit(std::move(ev));
 }
 
-// The trial loop over specs[first, size): workers, each with a private
+// Stage 3, execute: the trial loop. Workers, each with a private
 // TrialRunner, pull the next unclaimed index; at one worker the calling
-// thread runs them all. Every completion goes to the journal and to its
-// slot, concurrently for distinct indices, so records never depend on
-// scheduling. An exception outside a trial ends its worker and is rethrown
-// after the join.
-void RunTrials(const CampaignRun& c, const Plan& p,
-               const std::shared_ptr<const GoldenRun>& golden,
-               std::size_t first, TrialSlots& slots) {
+// thread runs them all. Every completion goes to the journal and to its own
+// slot of the returned vector (distinct indices, read only after the join),
+// so records never depend on scheduling. An exception outside a trial ends
+// its worker and is rethrown after the join.
+std::vector<CompletedTrial> Execute(
+    const CampaignRun& c, const Plan& p,
+    const std::shared_ptr<const GoldenRun>& golden) {
+  std::optional<obs::ScopedTimer> timed;
+  if (c.metrics) timed.emplace(c.metrics->GetTimer("campaign.trial_loop"));
   const std::size_t n = p.specs.size();
-  if (first >= n) return;
+  std::vector<CompletedTrial> done(n);
   TrialPolicy policy;
   policy.fast_path = p.fast;
   policy.check_invariants = c.checked;
@@ -443,11 +338,10 @@ void RunTrials(const CampaignRun& c, const Plan& p,
     c.Emit(obs::EventKind::kTrialRetry, static_cast<std::uint64_t>(attempt),
            static_cast<std::int64_t>(i), error);
   };
-  std::atomic<std::size_t> next{first};
+  std::atomic<std::size_t> next{0};
   auto work = [&](int worker) {
     TrialRunner runner(golden, policy);
     for (;;) {
-      if (c.opt.cancel && c.opt.cancel->cancelled()) return;
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
       const auto t0 = std::chrono::steady_clock::now();
@@ -470,15 +364,15 @@ void RunTrials(const CampaignRun& c, const Plan& p,
                 chk->CountFor(static_cast<check::InvariantKind>(k));
       }
       if (c.journal) EmitCompletion(c, p, golden->spec, t);
-      slots.Complete(std::move(t));
+      done[i] = std::move(t);
     }
   };
 
   const int jobs = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(ResolveJobs(c.opt.jobs)), n - first));
+      static_cast<std::size_t>(ResolveJobs(c.opt.jobs)), n));
   if (jobs == 1) {
     work(0);
-    return;
+    return done;
   }
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(jobs));
   std::vector<std::thread> pool;
@@ -495,52 +389,22 @@ void RunTrials(const CampaignRun& c, const Plan& p,
   for (auto& th : pool) th.join();
   for (const auto& e : errors)
     if (e) std::rethrow_exception(e);
+  return done;
 }
 
-// Stage 3, execute: resume from the checkpoint journal, then run the
-// remaining trials. Returns how many trials the result keeps: all, or after
-// cancellation the contiguous completed prefix.
-std::size_t Execute(const CampaignRun& c, const Plan& p,
-                    const std::shared_ptr<const GoldenRun>& golden,
-                    TrialSlots& slots, CampaignResult& result) {
-  const std::size_t resumed = slots.Resume();
-  {
-    std::optional<obs::ScopedTimer> timed;
-    if (c.metrics) timed.emplace(c.metrics->GetTimer("campaign.trial_loop"));
-    RunTrials(c, p, golden, resumed, slots);
-  }
-
-  // Interruption keeps the contiguous completed prefix, exactly what the
-  // journal holds, so the partial result, its telemetry and a resumed run
-  // agree on which trials exist; out-of-order completions past it re-run
-  // on resume.
-  const std::size_t n = p.specs.size();
-  if (!c.opt.cancel || !c.opt.cancel->cancelled()) return n;
-  c.Emit(obs::EventKind::kCancelRequested);
-  const std::size_t prefix = slots.Prefix();
-  if (prefix == n) return n;
-  slots.Flush();
-  result.interrupted = true;
-  if (c.opt.verbose)
-    std::fprintf(stderr, "[campaign %s] interrupted at %zu/%zu trials%s\n",
-                 c.key.c_str(), prefix, n,
-                 slots.journaling() ? " (checkpoint flushed)" : "");
-  return prefix;
-}
-
-// Stage 4, finalize: the kept records, traces and quarantine list in trial
-// order, the metrics replay, then persistence. A complete result retires
-// the checkpoint journal, and is cached only when no trial was quarantined.
-void Finalize(const CampaignRun& c, TrialSlots& s, std::size_t kept,
+// Stage 4, finalize: the records, traces and quarantine list in trial
+// order, the metrics replay, then the cache store, made only when no trial
+// was quarantined.
+void Finalize(const CampaignRun& c, std::vector<CompletedTrial>& done,
               CampaignResult& result) {
   std::array<std::uint64_t, check::kNumInvariantKinds> violations{};
-  for (std::size_t i = 0; i < kept; ++i) {
-    CompletedTrial& t = s.slots()[i];
+  result.trials.reserve(done.size());
+  for (std::size_t i = 0; i < done.size(); ++i) {
+    CompletedTrial& t = done[i];
     result.trials.push_back(t.record);
     if (c.tracing) result.prop_traces.push_back(std::move(t.trace));
     for (std::size_t k = 0; k < violations.size(); ++k)
       violations[k] += t.violations[k];
-    // A resumed record carries no message: it is not persisted.
     if (t.record.outcome == Outcome::kTrialError)
       result.quarantined.push_back({i, t.error});
   }
@@ -555,11 +419,9 @@ void Finalize(const CampaignRun& c, TrialSlots& s, std::size_t kept,
                           static_cast<check::InvariantKind>(k)))
             .Inc(violations[k]);
   }
-  if (result.interrupted) return;
   if (c.opt.use_cache && !c.checked && result.quarantined.empty() &&
       StoreCachedCampaign(result, c.metrics))
     c.Emit(obs::EventKind::kCacheStore, result.trials.size());
-  s.Retire();
 }
 
 }  // namespace
@@ -589,7 +451,7 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
   c.Emit({.kind = obs::EventKind::kCampaignStart, .field = spec.workload,
           .value = static_cast<std::uint64_t>(spec.trials), .detail = c.key});
   if (std::optional<CampaignResult> cached = LoadFromCache(c)) {
-    c.Finish(cached->trials.size(), /*interrupted=*/false);
+    c.Finish(cached->trials.size());
     return *cached;
   }
   if (c.metrics) c.metrics->GetCounter("campaign.cache.misses").Inc();
@@ -599,10 +461,9 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
   const Plan plan = PlanCampaign(c, result);
   const std::shared_ptr<const GoldenRun> golden =
       RecordCampaignGolden(c, plan, result);
-  TrialSlots slots(c, plan.specs.size());
-  const std::size_t kept = Execute(c, plan, golden, slots, result);
-  Finalize(c, slots, kept, result);
-  c.Finish(result.trials.size(), result.interrupted);
+  std::vector<CompletedTrial> done = Execute(c, plan, golden);
+  Finalize(c, done, result);
+  c.Finish(result.trials.size());
   return result;
 }
 

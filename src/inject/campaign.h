@@ -16,7 +16,6 @@
 #include "obs/prop_trace.h"
 #include "obs/sinks.h"
 #include "uarch/config.h"
-#include "util/cancel.h"
 #include "util/stats.h"
 
 namespace tfsim {
@@ -52,8 +51,8 @@ struct CampaignObs {
   // private journal is created when `events` is null).
   bool progress = false;
   // Structured campaign event journal (obs/events.h). When non-null, the
-  // campaign emits start/finish, golden-done, cache, per-trial-completion,
-  // retry/quarantine, checkpoint-flush and cancellation events into it; tfi
+  // campaign emits start/finish, golden-done, cache, per-trial-completion
+  // and retry/quarantine events into it; tfi
   // wires its file sink (--events-jsonl) to the journal. Emission never
   // blocks trial workers on I/O, and — like every other member here —
   // attaching a journal leaves trial records, classification counts and
@@ -73,8 +72,8 @@ struct CampaignOptions {
   // thread; 0 or negative uses one worker per hardware thread. Each worker
   // owns a private Core replica and shares the immutable golden run.
   int jobs = 1;
-  // Stderr notes: golden recording, cache loads, resumes, interruptions
-  // (per-trial progress is CampaignObs::progress).
+  // Stderr notes: golden recording and cache loads (per-trial progress is
+  // CampaignObs::progress).
   bool verbose = true;
   // Consult/populate the on-disk results cache. Benchmarks and determinism
   // tests disable this to force live execution.
@@ -88,29 +87,15 @@ struct CampaignOptions {
   // of the CacheKey. Checked runs
   // (check_invariants) always take the slow path.
   bool fast_path = true;
-  // Checkpoint/resume: when > 0, the contiguous completed-trial prefix is
-  // flushed to a per-CacheKey journal under TFI_CACHE_DIR every this many
-  // completed trials (and on interruption), and an existing journal for the
-  // same CacheKey is loaded at startup so the campaign resumes exactly where
-  // it stopped. Journals only hold trial records, so runs collecting
-  // propagation traces never checkpoint/resume. Resumed records are
-  // byte-identical to an uninterrupted run's at any `jobs` value. 0 disables
-  // journaling.
-  int checkpoint_every = 0;
   // Debug mode: run every trial core with the per-cycle invariant checker
   // (CoreConfig::check_invariants) and quarantine any trial whose injected
   // fault breaks a structural invariant (preg conservation, queue pointers,
   // ordering...) as Outcome::kTrialError, with the first violation in the
   // quarantine message. Data-value faults don't violate structural
   // invariants and classify normally. Checked runs bypass the results cache
-  // and checkpoint journal (options must never change cached results) and
+  // (options must never change cached results) and
   // report check.violations.* counter totals when metrics are attached.
   bool check_invariants = false;
-  // Cooperative cancellation (e.g. wired to SIGINT). When requested,
-  // workers finish their in-flight trials and stop claiming new ones; the
-  // campaign flushes its checkpoint journal plus the telemetry for the
-  // completed prefix and returns with CampaignResult::interrupted set.
-  CancellationToken* cancel = nullptr;
   // Test instrumentation: invoked (from worker threads; must be
   // thread-safe) with the trial index before each execution attempt. An
   // exception thrown here takes exactly the quarantine path a throwing
@@ -122,7 +107,7 @@ struct CampaignOptions {
 
 // A quarantined trial: its index and a diagnostic message. The record itself
 // (trials[index]) carries Outcome::kTrialError; the message is diagnostic
-// only and is not persisted in caches or checkpoints.
+// only and is not persisted in the cache.
 enum class QuarantineReason : std::uint8_t {
   kException,  // both attempts threw, or the trial violated an invariant
 };
@@ -141,11 +126,6 @@ struct CampaignResult {
   // A result with quarantined trials is never cached: a quarantine is a
   // hole in the sample, and a cached hole would outlive its cause.
   std::vector<QuarantinedTrial> quarantined;
-  // True when the campaign was cancelled before completing: `trials` then
-  // holds only the contiguous completed prefix (matching the checkpoint
-  // journal on disk, when journaling was enabled) and the result was not
-  // cached. Re-running the same spec resumes from the journal.
-  bool interrupted = false;
   // Per-trial propagation traces, parallel to `trials`. Only populated when
   // CampaignObs::collect_prop_traces was set (never loaded from the cache).
   std::vector<obs::PropagationTrace> prop_traces;
@@ -173,7 +153,8 @@ struct CampaignResult {
 std::vector<TrialSpec> MakeTrialSpecs(const CampaignSpec& spec,
                                       std::uint64_t injectable_bits);
 
-// Runs (or loads from the cache) a campaign.
+// Runs (or loads from the cache) a campaign. Returns the complete result or
+// throws; a campaign that does not finish leaves nothing on disk.
 CampaignResult RunCampaign(const CampaignSpec& spec,
                            const CampaignOptions& opt = {});
 

@@ -7,36 +7,6 @@
 
 namespace tfsim {
 
-void WriteTrialsCsv(const CampaignResult& result, std::ostream& os) {
-  os << "workload,outcome,failure_mode,category,storage,cycles,valid_instrs,"
-        "inflight\n";
-  for (const TrialRecord& t : result.trials) {
-    os << result.spec.workload << ',' << OutcomeName(t.outcome) << ','
-       << FailureModeName(t.mode) << ',' << StateCatName(t.cat) << ','
-       << (t.storage == Storage::kLatch ? "latch" : "ram") << ',' << t.cycles
-       << ',' << t.valid_instrs << ',' << t.inflight << '\n';
-  }
-}
-
-void WriteCategoryCsv(const CampaignResult& result, std::ostream& os) {
-  os << "category,trials,match,terminated,sdc,gray,trial_error,latch_bits,"
-        "ram_bits\n";
-  for (int c = 0; c < kNumStateCats; ++c) {
-    const auto cat = static_cast<StateCat>(c);
-    const auto n = result.TrialsForCat(cat);
-    if (n == 0) continue;
-    const auto o = result.ByOutcomeForCat(cat);
-    os << StateCatName(cat) << ',' << n << ','
-       << o[static_cast<int>(Outcome::kMicroArchMatch)] << ','
-       << o[static_cast<int>(Outcome::kTerminated)] << ','
-       << o[static_cast<int>(Outcome::kSdc)] << ','
-       << o[static_cast<int>(Outcome::kGrayArea)] << ','
-       << o[static_cast<int>(Outcome::kTrialError)] << ','
-       << result.inventory[c].latch_bits << ','
-       << result.inventory[c].ram_bits << '\n';
-  }
-}
-
 bool WritePropTraceJsonl(const CampaignResult& result, std::ostream& os) {
   if (result.prop_traces.empty()) return false;
   os << obs::RenderJournalHeader() << '\n';
@@ -56,8 +26,7 @@ obs::VulnerabilityHeatmap BuildHeatmap(const CampaignResult& result) {
   const StateRegistry& reg = core.registry();
   const std::vector<TrialSpec> specs = MakeTrialSpecs(
       result.spec, reg.InjectableBits(result.spec.include_ram));
-  // An interrupted result holds only the completed prefix; traces, when
-  // collected, are parallel to the kept trials.
+  // Traces, when collected, are parallel to the trials.
   const bool traced = result.prop_traces.size() == result.trials.size();
   for (std::size_t i = 0; i < result.trials.size() && i < specs.size(); ++i) {
     const TrialRecord& rec = result.trials[i];

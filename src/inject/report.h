@@ -9,13 +9,6 @@
 
 namespace tfsim {
 
-// One row per trial: outcome, failure mode, category, storage class,
-// cycles-to-classification, valid in-flight instructions at injection.
-void WriteTrialsCsv(const CampaignResult& result, std::ostream& os);
-
-// One row per state category: trials and outcome counts (Figures 4/5/9).
-void WriteCategoryCsv(const CampaignResult& result, std::ostream& os);
-
 // Figure 6 scatter: one row per trial with (valid_instrs, benign 0/1).
 void WriteUtilizationCsv(const CampaignResult& result, std::ostream& os);
 
@@ -30,8 +23,8 @@ bool WritePropTraceJsonl(const CampaignResult& result, std::ostream& os);
 
 // Per-field vulnerability heatmap for one campaign result: re-derives each
 // trial's injection site from the spec's seeded trial stream (the same
-// MakeTrialSpecs mapping the campaign used, so this works on cached and
-// resumed results that never carried field names), and joins propagation-
+// MakeTrialSpecs mapping the campaign used, so this works on cached
+// results that never carried field names), and joins propagation-
 // latency data when the run collected traces. `result` must be a single
 // campaign, not a MergeResults aggregate (the trial→spec mapping is
 // per-spec); throws std::out_of_range for an unknown workload (including

@@ -154,10 +154,6 @@ SweepResult RunSweep(const SweepSpec& spec, const std::string& axis,
     popt.obs.sinks.metrics = &metrics;
     popt.obs.sinks.chrome = nullptr;
     const CampaignResult cres = RunCampaign(cspec, popt);
-    if (cres.interrupted) {
-      out.interrupted = true;
-      break;  // partial point: checkpointed by the campaign, not recorded
-    }
 
     SweepPointResult pr;
     pr.point = point;
@@ -180,7 +176,7 @@ SweepResult RunSweep(const SweepSpec& spec, const std::string& axis,
     }
 
     // Per-structure outcome distributions, re-derived from the seeded trial
-    // stream exactly like BuildHeatmap (works for cached/resumed results).
+    // stream exactly like BuildHeatmap (works for cached results).
     Core core(cspec.core, program);
     const StateRegistry& reg = core.registry();
     const std::vector<TrialSpec> tspecs =

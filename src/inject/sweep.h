@@ -6,8 +6,9 @@
 // CoreConfig geometry a first-class sweep axis: a named SweepSpec expands
 // into per-point CampaignSpecs (ROB depth, scheduler entries, LQ/SQ depth,
 // physical registers, fetch/retire width), each run through the ordinary
-// campaign machinery — per-point results cache, checkpoint/resume, and
-// byte-identical records at any --jobs value all carry over unchanged.
+// campaign machinery — the per-point results cache (an interrupted sweep
+// reruns only the points not yet cached) and byte-identical records at any
+// --jobs value carry over unchanged.
 //
 // Each point joins two views of the same machine:
 //   * per-structure outcome distributions, re-derived from the trial stream
@@ -86,10 +87,6 @@ struct SweepResult {
   SweepSpec spec;
   std::string axis;  // filter the run used ("" = all)
   std::vector<SweepPointResult> points;
-  // A cancelled point stops the sweep; its partial campaign is checkpointed
-  // by the ordinary resume journal and is NOT recorded as a point here, so
-  // rerunning the identical command completes the sweep from where it left.
-  bool interrupted = false;
 };
 
 // Runs every point of the sweep through RunCampaign with `opt` as the base

@@ -23,9 +23,6 @@ const char* MarkerName(EventKind k) {
   switch (k) {
     case EventKind::kTrialRetry: return "trial retry";
     case EventKind::kTrialQuarantine: return "trial quarantined";
-    case EventKind::kCheckpointFlush: return "checkpoint flush";
-    case EventKind::kCheckpointDisabled: return "checkpoint disabled";
-    case EventKind::kCancelRequested: return "cancelled";
     default: return nullptr;
   }
 }
@@ -41,10 +38,7 @@ const char* EventKindName(EventKind k) {
     case EventKind::kTrialDone: return "trial_done";
     case EventKind::kTrialRetry: return "trial_retry";
     case EventKind::kTrialQuarantine: return "trial_quarantine";
-    case EventKind::kCheckpointFlush: return "checkpoint_flush";
-    case EventKind::kCancelRequested: return "cancel_requested";
     case EventKind::kCampaignFinish: return "campaign_finish";
-    case EventKind::kCheckpointDisabled: return "checkpoint_disabled";
   }
   return "unknown";
 }
@@ -90,18 +84,9 @@ std::string RenderEventJson(const Event& e) {
     case EventKind::kTrialQuarantine:
       w.Field("error", e.detail);
       break;
-    case EventKind::kCheckpointFlush:
-      w.Field("prefix", e.value);
-      break;
-    case EventKind::kCancelRequested:
-      break;
     case EventKind::kCampaignFinish:
       w.Field("trials_kept", e.value);
-      w.Field("interrupted", e.interrupted);
       w.Field("events_dropped", e.dropped);
-      break;
-    case EventKind::kCheckpointDisabled:
-      w.Field("error", e.detail);
       break;
   }
   w.End();
@@ -234,10 +219,8 @@ void JsonlEventSink::OnEvent(const Event& e) {
   // failure (the failbit a full disk or yanked volume would raise).
   if (fail::FailHere("events.jsonl.write")) os_.setstate(std::ios::failbit);
   os_ << RenderEventJson(e) << '\n';
-  // Keep the on-disk journal a complete prefix at every campaign boundary:
-  // an interrupted run's last line is its campaign_finish event.
-  if (e.kind == EventKind::kCampaignFinish || e.kind == EventKind::kCancelRequested)
-    os_.flush();
+  // Keep the on-disk journal a complete prefix at every campaign boundary.
+  if (e.kind == EventKind::kCampaignFinish) os_.flush();
   if (!os_) {
     // One warning, then silence: the campaign keeps running without its
     // journal file instead of failing or warning per event.
@@ -256,8 +239,7 @@ ProgressSink::ProgressSink(std::string label, int total_trials,
                            std::ostream& os)
     : label_(std::move(label)), total_(total_trials), os_(os) {}
 
-void ProgressSink::PrintLine(std::uint64_t ts_us, bool final_line,
-                             bool interrupted) {
+void ProgressSink::PrintLine(std::uint64_t ts_us, bool final_line) {
   // Monotonic microsecond elapsed time; the max() keeps sub-millisecond
   // campaigns from dividing by (or reporting) zero.
   const double secs =
@@ -279,7 +261,7 @@ void ProgressSink::PrintLine(std::uint64_t ts_us, bool final_line,
       static_cast<unsigned long long>(outcomes_[4]));
   os_ << head << mix;
   if (final_line) {
-    os_ << "  [" << (interrupted ? "interrupted" : "done") << " in ";
+    os_ << "  [done in ";
     char secs_buf[32];
     std::snprintf(secs_buf, sizeof(secs_buf), "%.1fs", secs);
     os_ << secs_buf;
@@ -316,14 +298,14 @@ void ProgressSink::OnEvent(const Event& e) {
       ++outcomes_[static_cast<int>(e.outcome)];
       if (e.ts_us - last_line_us_ >= 1000000) {
         last_line_us_ = e.ts_us;
-        PrintLine(e.ts_us, /*final_line=*/false, /*interrupted=*/false);
+        PrintLine(e.ts_us, /*final_line=*/false);
       }
       break;
     case EventKind::kCampaignFinish:
-      // Resumed/cached trials never produced trial_done events; fold them in
-      // so the summary reports the campaign's true completed count.
+      // Cached trials never produced trial_done events; fold them in so the
+      // summary reports the campaign's true completed count.
       if (e.value > done_) done_ = e.value;
-      PrintLine(e.ts_us, /*final_line=*/true, e.interrupted);
+      PrintLine(e.ts_us, /*final_line=*/true);
       break;
     default:
       break;
@@ -359,12 +341,9 @@ void ChromeLaneSink::OnEvent(const Event& e) {
   }
   const char* marker = MarkerName(e.kind);
   if (marker == nullptr) return;
-  ChromeTraceWriter::Args args;
-  if (e.trial >= 0)
-    args = {{"trial", std::to_string(e.trial)}, {"error", e.detail}};
-  if (e.kind == EventKind::kCheckpointFlush)
-    args = {{"prefix", std::to_string(e.value)}};
-  chrome_.InstantEvent(marker, kPid, e.ts_us, args);
+  chrome_.InstantEvent(marker, kPid, e.ts_us,
+                       {{"trial", std::to_string(e.trial)},
+                        {"error", e.detail}});
 }
 
 }  // namespace tfsim::obs

@@ -1,7 +1,6 @@
 // Structured campaign event journal: every campaign-level happening
 // (start/finish, golden recorded, cache hit/store, per-trial completion with
-// outcome and wall time, retry/quarantine, checkpoint flush,
-// cancellation) becomes one typed Event, pushed into a bounded in-memory
+// outcome and wall time, retry/quarantine) becomes one typed Event, pushed into a bounded in-memory
 // queue and drained by a dedicated writer thread. Trial workers therefore
 // never perform journal I/O, and Emit() never blocks: when the queue is full
 // behind a slow sink, the oldest queued event is dropped and counted
@@ -15,9 +14,9 @@
 //   * JsonlEventSink — one JSON object per line after a schema_version
 //     header; the on-disk wire format of `tfi campaign --events-jsonl`.
 //   * ProgressSink   — the `--progress` stderr lines (monotonic trials/sec,
-//     ETA, final summary line even on cancellation).
+//     ETA, final summary line).
 //   * ChromeLaneSink — the campaign lane of a chrome trace: trial spans and
-//     instant markers for retries, quarantines and checkpoint flushes.
+//     instant markers for retries and quarantines.
 //
 // Determinism: the journal is pure telemetry. Campaign trial records,
 // classification counts and cache keys are byte-identical with the journal
@@ -51,14 +50,10 @@ enum class EventKind : std::uint8_t {
   kTrialDone,         // one trial classified; full injection-site payload
   kTrialRetry,        // an execution attempt threw; value=attempt, detail=why
   kTrialQuarantine,   // all attempts failed (or an invariant tripped)
-  kCheckpointFlush,   // journal flushed; value=contiguous prefix size
-  kCancelRequested,   // cooperative cancellation observed by the campaign
-  kCampaignFinish,    // value=trials kept; interrupted flag set on cancel;
-                      // dropped=events shed by the queue (the journal footer)
-  kCheckpointDisabled,// journal flush failed after retries; checkpointing is
-                      // off for the rest of the run (detail=why)
+  kCampaignFinish,    // value=trials kept; dropped=events shed by the queue
+                      // (the journal footer)
 };
-inline constexpr int kNumEventKinds = 11;
+inline constexpr int kNumEventKinds = 8;
 const char* EventKindName(EventKind k);
 
 struct Event {
@@ -87,7 +82,6 @@ struct Event {
   // Generic payload (see the per-kind notes above).
   std::uint64_t value = 0;
   std::string detail{};
-  bool interrupted = false;    // kCampaignFinish only
   std::uint64_t dropped = 0;   // kCampaignFinish only: queue drops this run
 };
 
@@ -163,8 +157,8 @@ class EventJournal {
 
 // Writes the journal to a stream as JSONL: header line at construction,
 // then one line per event. The stream must outlive the sink; the sink
-// flushes the stream on campaign finish so a SIGINT-interrupted journal is
-// complete up to its last event. A stream write failure (disk full, yanked
+// flushes the stream on campaign finish so a killed process leaves a journal
+// that is complete up to its last finished campaign. A stream write failure (disk full, yanked
 // volume, `events.jsonl.write` failpoint) disables the sink for the rest of
 // the run with a single stderr warning — the campaign continues without its
 // journal file rather than wedging or spamming.
@@ -182,7 +176,7 @@ class JsonlEventSink : public EventSink {
 };
 
 // The --progress consumer: a throttled status line per second of trial
-// completions plus an unconditional final summary (also on interruption).
+// completions plus an unconditional final summary.
 // Rates use the journal's monotonic microsecond clock, so sub-second
 // campaigns report a real trials/sec figure instead of zero.
 class ProgressSink : public EventSink {
@@ -193,7 +187,7 @@ class ProgressSink : public EventSink {
   void OnEvent(const Event& e) override;
 
  private:
-  void PrintLine(std::uint64_t ts_us, bool final_line, bool interrupted);
+  void PrintLine(std::uint64_t ts_us, bool final_line);
 
   const std::string label_;
   const int total_;
@@ -208,9 +202,8 @@ class ProgressSink : public EventSink {
 
 // The chrome trace's campaign lane (ChromeTraceWriter::kPidCampaign), drawn
 // from the journal: one span per kTrialDone on its worker's row, starting at
-// ts_us - dur_us on the journal clock, and one instant marker per retry,
-// quarantine, checkpoint flush, disabled checkpointing or cancellation.
-// Resumed and cached trials emit no kTrialDone and get no span; events shed
+// ts_us - dur_us on the journal clock, and one instant marker per retry or
+// quarantine. Cached trials emit no kTrialDone and get no span; events shed
 // to backpressure are missing here too. The writer is not
 // thread-safe and the golden run fills the pipeline lane from the campaign
 // thread, so the sink writes nothing before kGoldenDone, which is emitted

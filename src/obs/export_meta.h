@@ -16,7 +16,9 @@ namespace tfsim::obs {
 // Version 2: adds schema_version/generated_at stamps, the event-journal
 // JSONL format, and the vulnerability-heatmap export. (Version 1 is the
 // implicit, unstamped PR 1 format.)
-inline constexpr int kObsSchemaVersion = 2;
+// Version 3: campaign_finish loses its `interrupted` field, and the
+// checkpoint_flush, cancel_requested and checkpoint_disabled events are gone.
+inline constexpr int kObsSchemaVersion = 3;
 
 // `tp` as an RFC3339 UTC timestamp: "2026-08-08T12:34:56Z".
 std::string Rfc3339Utc(std::chrono::system_clock::time_point tp);

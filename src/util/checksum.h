@@ -1,6 +1,5 @@
 // CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the checksum
-// guarding the v2 results cache and campaign checkpoint journals against
-// torn or tampered files. Matches zlib's crc32(), so files can be checked
+// guarding the v2 results cache against torn or tampered files. Matches zlib's crc32(), so files can be checked
 // with standard tools.
 #pragma once
 

@@ -1,10 +1,8 @@
 #include "util/failpoint.h"
 
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "util/env.h"
@@ -53,8 +51,6 @@ namespace detail {
 std::atomic<bool> g_armed{false};
 
 bool Evaluate(const char* site) {
-  std::uint64_t delay_us = 0;
-  bool threw = false;
   {
     std::lock_guard<std::mutex> lock(Reg().mu);
     SiteState* s = Find(Reg(), site);
@@ -64,19 +60,11 @@ bool Evaluate(const char* site) {
     if ((s->hits - 1) % n != 0) return false;
     if (s->policy.limit && s->fires >= s->policy.limit) return false;
     ++s->fires;
-    switch (s->policy.action) {
-      case Action::kOff: return false;
-      case Action::kError: return true;
-      case Action::kThrow: threw = true; break;
-      case Action::kDelay: delay_us = s->policy.delay_us; break;
-    }
+    if (s->policy.action == Action::kError) return true;
   }
-  // Throw and sleep outside the lock so concurrent probes never serialize on
-  // a firing site.
-  if (threw) throw FailpointError(std::string("failpoint: ") + site);
-  if (delay_us)
-    std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-  return false;
+  // kThrow: throw outside the lock so concurrent probes never serialize on a
+  // firing site.
+  throw FailpointError(std::string("failpoint: ") + site);
 }
 
 }  // namespace detail
@@ -131,28 +119,17 @@ bool ParseEntry(std::string_view entry, std::string* error) {
     }
     rest = rest.substr(0, at);
   }
-  std::string_view action = rest;
-  if (const std::size_t colon = rest.find(':');
-      colon != std::string_view::npos) {
-    action = rest.substr(0, colon);
-    if (!parse_u64(rest.substr(colon + 1), &p.delay_us)) {
-      if (error) *error = "bad :delay_us in '" + std::string(entry) + "'";
-      return false;
-    }
-  }
+  const std::string_view action = rest;
   if (action == "off") {
     p.action = Action::kOff;
   } else if (action == "error") {
     p.action = Action::kError;
   } else if (action == "throw") {
     p.action = Action::kThrow;
-  } else if (action == "delay") {
-    p.action = Action::kDelay;
-    if (p.delay_us == 0) p.delay_us = 1000;  // delay without :us = 1ms
   } else {
     if (error)
       *error = "unknown action '" + std::string(action) + "' in '" +
-               std::string(entry) + "' (off|error|throw|delay)";
+               std::string(entry) + "' (off|error|throw)";
     return false;
   }
   Configure(site, p);

@@ -1,17 +1,17 @@
 // Failpoint chaos engine: named fault-injection sites on the harness's own
-// durability and telemetry seams (cache stores, checkpoint flushes, JSONL
-// sinks), so tests can prove campaigns degrade gracefully under I/O failure
+// durability and telemetry seams (cache loads and stores, atomic writes,
+// JSONL sinks), so tests can prove campaigns degrade gracefully under I/O failure
 // instead of assuming it.
 //
 // A site is a string constant at the seam:
 //
 //   if (fail::FailHere("cache.store")) return false;   // error-return site
 //
-// Policies are configured per site (off / error-return / throw / delay),
+// Policies are configured per site (off / error-return / throw),
 // optionally firing only every Nth hit and/or a bounded number of times:
 //
 //   fail::Configure("cache.store", {fail::Action::kError, /*one_in=*/2});
-//   fail::ConfigureFromSpec("ckpt.store=error@1in3;events.jsonl.write=throw");
+//   fail::ConfigureFromSpec("cache.store=error@1in3;events.jsonl.write=throw");
 //   fail::ConfigureFromEnv();   // reads TFI_FAILPOINTS (the spec syntax)
 //
 // Activation is strictly opt-in: the library never reads TFI_FAILPOINTS on
@@ -24,8 +24,6 @@
 //   fs.atomic_write      AtomicWriteFile, before the temp write
 //   cache.load           LoadCachedCampaign (fires = treated as a miss)
 //   cache.store          StoreCachedCampaign's write attempt (retried)
-//   ckpt.load            LoadCampaignCheckpoint (fires = no resume data)
-//   ckpt.store           StoreCampaignCheckpoint's write attempt (retried)
 //   events.jsonl.write   JsonlEventSink::OnEvent (fires = stream failure)
 #pragma once
 
@@ -41,7 +39,6 @@ enum class Action : std::uint8_t {
   kOff,    // site disabled (same as never configured)
   kError,  // FailHere returns true: the seam takes its error-return path
   kThrow,  // FailHere throws FailpointError("failpoint: <site>")
-  kDelay,  // FailHere sleeps delay_us then returns false (slow-sink model)
 };
 
 struct Policy {
@@ -49,7 +46,6 @@ struct Policy {
   // Fire on hits 1, 1+N, 1+2N, ... (the first hit always fires, so an
   // @1in2 store failure fails the first attempt and lets the retry succeed).
   std::uint64_t one_in = 1;
-  std::uint64_t delay_us = 0;  // kDelay sleep per firing
   std::uint64_t limit = 0;     // stop firing after this many; 0 = unlimited
 };
 
@@ -75,12 +71,11 @@ inline bool FailHere(const char* site) {
 // entries win over prefixes. Thread-safe.
 void Configure(std::string_view site, const Policy& policy);
 
-// Parses and installs a spec: `site=action[:delay_us][@1inN][#limit]`
+// Parses and installs a spec: `site=action[@1inN][#limit]`
 // entries separated by ';' or ','. Examples:
 //   cache.store=error@1in2            fail every other store attempt
 //   events.jsonl.write=throw#1        one exception from the JSONL sink
-//   cache.store=delay:20000#3         a 20ms stall on the first 3 stores
-//   ckpt.*=error                      every checkpoint seam error-returns
+//   cache.*=error                     every cache seam error-returns
 // Returns false (with a diagnostic in *error) on malformed input; valid
 // prefix entries before the malformed one stay installed.
 bool ConfigureFromSpec(std::string_view spec, std::string* error = nullptr);

@@ -1,7 +1,6 @@
 // Filesystem helpers for crash-consistent on-disk state.
 //
-// The results cache and checkpoint journals must never be observed
-// half-written: a reader either sees the previous complete file or the new
+// The results cache must never be observed half-written: a reader either sees the previous complete file or the new
 // complete file. AtomicWriteFile gets that by writing a uniquely-named
 // temporary in the target directory and renaming it over the destination
 // (rename within one directory is atomic on POSIX).

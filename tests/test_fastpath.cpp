@@ -3,7 +3,6 @@
 // byte-identity with the slow path — the fast path is pure execution policy.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "campaign_fixture.h"
-#include "inject/cache.h"
 #include "inject/campaign.h"
 #include "inject/report.h"
 #include "inject/trial.h"
@@ -19,7 +17,6 @@
 #include "obs/prop_trace.h"
 #include "state/state_registry.h"
 #include "uarch/core.h"
-#include "util/cancel.h"
 #include "workloads/workloads.h"
 
 namespace tfsim {
@@ -384,42 +381,6 @@ TEST(TrialFastPath, CampaignDistributionsMetricsAndHeatmapsIdentical) {
                 TraceRow(slow1.result.prop_traces[i], spec.workload, i));
     EXPECT_EQ(heatmap(f.result), heatmap(slow1.result));
   }
-}
-
-// Interrupt a fast-path campaign mid-flight, then resume it with the fast
-// path disabled: the journaled fast-path prefix and the slow-path suffix
-// must splice into a result byte-identical to an uninterrupted slow run.
-TEST(TrialFastPath, ResumeCrossesFastSlowBoundary) {
-  ScopedCacheDir cache("tfi_fastpath_resume_test");
-  const CampaignSpec spec = FastpathCampaign(30);
-  CampaignOptions slow_opt = QuietLive();
-  slow_opt.fast_path = false;
-  const CampaignResult reference = RunCampaign(spec, slow_opt);
-
-  CancellationToken cancel;
-  CampaignOptions interrupted = QuietLive();  // fast path on (default)
-  interrupted.jobs = 2;
-  interrupted.checkpoint_every = 5;
-  interrupted.cancel = &cancel;
-  interrupted.trial_fault_hook = [&cancel](std::size_t i) {
-    if (i == 12) cancel.Request();
-  };
-  const CampaignResult partial = RunCampaign(spec, interrupted);
-  ASSERT_TRUE(partial.interrupted);
-  ASSERT_FALSE(partial.trials.empty());
-  ASSERT_LT(partial.trials.size(), reference.trials.size());
-  const auto journal = LoadCampaignCheckpoint(spec);
-  ASSERT_TRUE(journal.has_value());
-  EXPECT_EQ(journal->size(), partial.trials.size());
-
-  CampaignOptions resume = slow_opt;  // the suffix runs on the slow path
-  resume.checkpoint_every = 5;
-  const CampaignResult resumed = RunCampaign(spec, resume);
-  EXPECT_FALSE(resumed.interrupted);
-  EXPECT_EQ(resumed.trials, reference.trials);
-  EXPECT_EQ(resumed.spec.CacheKey(), reference.spec.CacheKey());
-  EXPECT_FALSE(std::filesystem::exists(CampaignCheckpointPath(spec)))
-      << "a completed run must retire its journal";
 }
 
 }  // namespace

@@ -1,19 +1,17 @@
 // Path equivalence: how a campaign's trials are executed never changes what
 // they classify. Every cell of {slow, fast} x {jobs 1, jobs 4} x
-// {plain, resumed from a journal, durability failpoints armed} runs one spec
+// {plain, durability failpoints armed} runs one spec
 // and must match a single reference run (slow path, one worker, nothing
 // persisted) in every trial record, distribution, heatmap, cache key and
 // per-trial journal payload.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "campaign_fixture.h"
-#include "inject/cache.h"
 #include "inject/campaign.h"
 #include "inject/report.h"
 #include "obs/events.h"
@@ -25,20 +23,17 @@ namespace tfsim {
 namespace {
 
 constexpr int kTrials = 40;
-// Resume cells start from a journal holding the reference's first records.
-constexpr std::size_t kResumed = 17;
 // Intermittent failure on every seam a campaign persists through.
 constexpr const char* kChaosSpec =
-    "fs.atomic_write=error@1in3;cache.load=error@1in2;cache.store=error@1in2;"
-    "ckpt.load=error@1in2;ckpt.store=error@1in2";
+    "fs.atomic_write=error@1in3;cache.load=error@1in2;cache.store=error@1in2";
 
 enum class Path { kSlow, kFast };
-enum class Mode { kPlain, kResume, kChaos };
+enum class Mode { kPlain, kChaos };
 using Cell = std::tuple<Path, int, Mode>;
 
 std::string CellName(const Cell& cell) {
   static const char* const kPaths[] = {"Slow", "Fast"};
-  static const char* const kModes[] = {"Plain", "Resume", "Chaos"};
+  static const char* const kModes[] = {"Plain", "Chaos"};
   const auto [path, jobs, mode] = cell;
   return std::string(kPaths[static_cast<int>(path)]) + "_Jobs" +
          std::to_string(jobs) + "_" + kModes[static_cast<int>(mode)];
@@ -49,7 +44,6 @@ struct Observed {
   CampaignResult result;
   std::string metrics;  // timer-less export: byte-deterministic
   std::uint64_t counted_trials = 0;
-  std::uint64_t resumed_trials = 0;
   std::vector<TrialDonePayload> trial_done;
 };
 
@@ -69,8 +63,6 @@ Observed Observe(const CampaignSpec& spec, CampaignOptions opt) {
   metrics.WriteJson(os, /*include_timers=*/false);
   o.metrics = os.str();
   o.counted_trials = metrics.GetCounter("campaign.trials").value();
-  o.resumed_trials =
-      metrics.GetCounter("campaign.checkpoint.resumed_trials").value();
   return o;
 }
 
@@ -117,54 +109,34 @@ TEST_P(PathEquivalence, MatchesReference) {
   CampaignOptions opt = QuietLive();
   opt.jobs = jobs;
   opt.fast_path = path != Path::kSlow;
-  // Journals and cache entries never hold traces, so only plain cells
-  // trace.
+  // Traced runs bypass the cache load, so only plain cells trace and chaos
+  // cells exercise the cache seams.
   const bool traced = mode == Mode::kPlain;
   opt.obs.collect_prop_traces = traced;
-  std::size_t first_live = 0;
-  if (mode == Mode::kResume) {
-    // Seeded rather than interrupted, so every cell resumes from the same
-    // prefix whatever its worker count.
-    first_live = kResumed;
-    ASSERT_TRUE(StoreCampaignCheckpoint(
-        spec, {ref.result.trials.begin(),
-               ref.result.trials.begin() + kResumed}));
-    opt.checkpoint_every = 7;
-  } else if (mode == Mode::kChaos) {
+  if (mode == Mode::kChaos) {
     std::string err;
     ASSERT_TRUE(fail::ConfigureFromSpec(kChaosSpec, &err)) << err;
     opt.use_cache = true;
-    opt.checkpoint_every = 3;
   }
   const Observed got = Observe(spec, opt);
 
   const CampaignResult& r = got.result;
-  EXPECT_FALSE(r.interrupted);
   EXPECT_TRUE(r.quarantined.empty());
   EXPECT_EQ(r.trials, ref.result.trials);
   EXPECT_EQ(r.ByOutcome(), ref.result.ByOutcome());
   EXPECT_EQ(r.ByFailureMode(), ref.result.ByFailureMode());
   EXPECT_EQ(r.spec.CacheKey(), ref.result.spec.CacheKey());
-  // Resumed trials are replayed into the campaign counters too.
   EXPECT_EQ(got.counted_trials, static_cast<std::uint64_t>(kTrials));
   // The heatmap joins latencies from traced trials only, so an untraced
   // cell is compared with the reference's records alone.
   CampaignResult want = ref.result;
   if (!traced) want.prop_traces.clear();
   EXPECT_EQ(HeatmapJson(r), HeatmapJson(want));
-  // Only trials this cell executed report kTrialDone.
-  const std::vector<TrialDonePayload> executed(
-      ref.trial_done.begin() + static_cast<std::ptrdiff_t>(first_live),
-      ref.trial_done.end());
-  EXPECT_EQ(got.trial_done, executed);
+  EXPECT_EQ(got.trial_done, ref.trial_done);
 
   if (mode == Mode::kPlain) {
     EXPECT_EQ(got.metrics, ref.metrics);
     EXPECT_EQ(TraceRows(r), TraceRows(ref.result));
-  } else if (mode == Mode::kResume) {
-    EXPECT_EQ(got.resumed_trials, kResumed);
-    EXPECT_FALSE(std::filesystem::exists(CampaignCheckpointPath(spec)))
-        << "a completed run must retire its journal";
   }
 }
 
@@ -173,7 +145,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(Path::kSlow, Path::kFast),
         ::testing::Values(1, 4),
-        ::testing::Values(Mode::kPlain, Mode::kResume, Mode::kChaos)),
+        ::testing::Values(Mode::kPlain, Mode::kChaos)),
     [](const ::testing::TestParamInfo<Cell>& p) { return CellName(p.param); });
 
 }  // namespace

@@ -7,49 +7,16 @@
 namespace tfsim {
 namespace {
 
-CampaignResult Sample() {
+TEST(Report, UtilizationCsvMarksBenign) {
   CampaignResult r;
-  r.spec.workload = "demo";
   TrialRecord a;
   a.outcome = Outcome::kSdc;
-  a.mode = FailureMode::kRegfile;
-  a.cat = StateCat::kRegfile;
-  a.storage = Storage::kRam;
-  a.cycles = 12;
   a.valid_instrs = 30;
-  a.inflight = 44;
   TrialRecord b;
   b.outcome = Outcome::kMicroArchMatch;
-  b.cat = StateCat::kPc;
-  b.storage = Storage::kLatch;
   r.trials = {a, b};
-  r.inventory[static_cast<int>(StateCat::kRegfile)] = {80, 5200};
-  return r;
-}
-
-TEST(Report, TrialsCsvHasHeaderAndRows) {
   std::ostringstream os;
-  WriteTrialsCsv(Sample(), os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("workload,outcome"), std::string::npos);
-  EXPECT_NE(out.find("demo,SDC,regfile,regfile,ram,12,30,44"),
-            std::string::npos);
-  EXPECT_NE(out.find("demo,uArch Match,none,pc,latch,0,0,0"),
-            std::string::npos);
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 3);
-}
-
-TEST(Report, CategoryCsvAggregates) {
-  std::ostringstream os;
-  WriteCategoryCsv(Sample(), os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("regfile,1,0,0,1,0,0,80,5200"), std::string::npos);
-  EXPECT_NE(out.find("pc,1,1,0,0,0,0,0"), std::string::npos);
-}
-
-TEST(Report, UtilizationCsvMarksBenign) {
-  std::ostringstream os;
-  WriteUtilizationCsv(Sample(), os);
+  WriteUtilizationCsv(r, os);
   const std::string out = os.str();
   EXPECT_NE(out.find("30,0"), std::string::npos);
   EXPECT_NE(out.find("0,1"), std::string::npos);

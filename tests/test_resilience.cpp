@@ -1,6 +1,6 @@
 // The resilient execution layer: CRC32 + atomic file primitives, the v2
 // checksummed results cache (with v1 back-compat and bit-exact doubles),
-// trial quarantine, and checkpoint/resume byte-identity.
+// torn writes, and trial quarantine.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +13,6 @@
 #include "inject/cache.h"
 #include "inject/campaign.h"
 #include "obs/metrics.h"
-#include "util/cancel.h"
 #include "util/checksum.h"
 #include "util/fs.h"
 
@@ -165,10 +164,6 @@ TEST(CacheV2, StoreFailureIsCountedNotSilent) {
   obs::MetricsRegistry metrics;
   EXPECT_FALSE(StoreCachedCampaign(AwkwardResult(SmallCampaign(2)), &metrics));
   EXPECT_EQ(metrics.GetCounter("campaign.cache.store_failures").value(), 1u);
-  EXPECT_FALSE(
-      StoreCampaignCheckpoint(SmallCampaign(2), {}, &metrics));
-  EXPECT_EQ(metrics.GetCounter("campaign.checkpoint.store_failures").value(),
-            1u);
 
   ::unsetenv("TFI_CACHE_DIR");
   fs::remove(blocker);
@@ -188,7 +183,6 @@ TEST(Quarantine, ThrowingTrialDoesNotAbortTheCampaign) {
   const CampaignResult r = RunCampaign(spec, opt);
 
   ASSERT_EQ(r.trials.size(), 10u);
-  EXPECT_FALSE(r.interrupted);
   EXPECT_EQ(r.trials[3].outcome, Outcome::kTrialError);
   ASSERT_EQ(r.quarantined.size(), 1u);
   EXPECT_EQ(r.quarantined[0].index, 3u);
@@ -260,114 +254,6 @@ TEST(Quarantine, QuarantinedResultIsNotCached) {
   EXPECT_EQ(metrics.GetCounter("campaign.cache.misses").value(), 1u);
   EXPECT_TRUE(r.quarantined.empty());
   EXPECT_EQ(r.trials, reference.trials);
-}
-
-TEST(CheckpointResume, SeededJournalYieldsByteIdenticalRecords) {
-  ScopedCacheDir cache("tfi_test_ckpt_seed");
-  const CampaignSpec spec = SmallCampaign(12);
-  const CampaignResult reference = RunCampaign(spec, QuietLive());
-
-  // Seed a journal holding the first 7 records, as an interrupted run
-  // would have left it, then resume at a different worker count.
-  const std::vector<TrialRecord> prefix(reference.trials.begin(),
-                                        reference.trials.begin() + 7);
-  ASSERT_TRUE(StoreCampaignCheckpoint(spec, prefix));
-  ASSERT_TRUE(LoadCampaignCheckpoint(spec).has_value());
-
-  obs::MetricsRegistry metrics;
-  CampaignOptions opt = QuietLive();
-  opt.jobs = 3;
-  opt.checkpoint_every = 4;
-  opt.obs.sinks.metrics = &metrics;
-  const CampaignResult resumed = RunCampaign(spec, opt);
-
-  EXPECT_FALSE(resumed.interrupted);
-  EXPECT_EQ(resumed.trials, reference.trials);
-  EXPECT_EQ(resumed.spec.CacheKey(), reference.spec.CacheKey());
-  EXPECT_EQ(metrics.GetCounter("campaign.checkpoint.resumed_trials").value(),
-            7u);
-  // Replayed campaign metrics cover all trials, not just the live ones.
-  EXPECT_EQ(metrics.GetCounter("campaign.trials").value(), 12u);
-  // The journal is consumed by the completed run.
-  EXPECT_FALSE(fs::exists(CampaignCheckpointPath(spec)));
-}
-
-TEST(CheckpointResume, CancelledRunFlushesJournalAndResumesIdentically) {
-  ScopedCacheDir cache("tfi_test_ckpt_cancel");
-  const CampaignSpec spec = SmallCampaign(12);
-  const CampaignResult reference = RunCampaign(spec, QuietLive());
-
-  // Serial run cancelled from the hook of trial 4: that trial still
-  // completes (drain semantics), then the loop stops — deterministically
-  // five completed trials.
-  CancellationToken cancel;
-  CampaignOptions opt = QuietLive();
-  opt.jobs = 1;
-  opt.checkpoint_every = 3;
-  opt.cancel = &cancel;
-  opt.trial_fault_hook = [&cancel](std::size_t i) {
-    if (i == 4) cancel.Request();
-  };
-  const CampaignResult partial = RunCampaign(spec, opt);
-  EXPECT_TRUE(partial.interrupted);
-  EXPECT_EQ(partial.trials,
-            std::vector<TrialRecord>(reference.trials.begin(),
-                                     reference.trials.begin() + 5));
-
-  const auto journal = LoadCampaignCheckpoint(spec);
-  ASSERT_TRUE(journal.has_value());
-  EXPECT_EQ(journal->size(), 5u);
-
-  // A corrupt journal is rejected (clean re-run), a good one resumes.
-  const std::string jpath = CampaignCheckpointPath(spec);
-  const std::string good = SlurpFile(jpath);
-  std::string bad = good;
-  bad[bad.size() - 3] ^= 0x10;
-  WriteRaw(jpath, bad);
-  EXPECT_FALSE(LoadCampaignCheckpoint(spec).has_value());
-  WriteRaw(jpath, good);
-
-  CampaignOptions ropt = QuietLive();
-  ropt.jobs = 4;
-  ropt.checkpoint_every = 3;
-  const CampaignResult resumed = RunCampaign(spec, ropt);
-  EXPECT_FALSE(resumed.interrupted);
-  EXPECT_EQ(resumed.trials, reference.trials);
-  EXPECT_FALSE(fs::exists(jpath));
-}
-
-TEST(TornState, TruncatedCheckpointJournalIsDetectedAndRecovered) {
-  // A power cut mid-rename can leave a journal truncated at any byte. Every
-  // truncation point must be rejected (no partial resume from garbage), and
-  // the campaign that rejected it must still produce byte-identical records
-  // by running clean.
-  ScopedCacheDir cache("tfi_test_torn_ckpt");
-  const CampaignSpec spec = SmallCampaign(10);
-  const CampaignResult reference = RunCampaign(spec, QuietLive());
-  const std::vector<TrialRecord> prefix(reference.trials.begin(),
-                                        reference.trials.begin() + 6);
-  ASSERT_TRUE(StoreCampaignCheckpoint(spec, prefix));
-  const std::string jpath = CampaignCheckpointPath(spec);
-  const std::string good = SlurpFile(jpath);
-  ASSERT_FALSE(good.empty());
-
-  for (std::size_t cut : {std::size_t{0}, std::size_t{1}, good.size() / 4,
-                          good.size() / 2, good.size() - 1}) {
-    WriteRaw(jpath, good.substr(0, cut));
-    EXPECT_FALSE(LoadCampaignCheckpoint(spec).has_value()) << "cut=" << cut;
-  }
-
-  // With the torn journal still on disk, a full run detects the corruption,
-  // starts clean, and matches the reference record-for-record.
-  WriteRaw(jpath, good.substr(0, good.size() / 2));
-  CampaignOptions opt = QuietLive();
-  opt.jobs = 2;
-  opt.checkpoint_every = 3;
-  const CampaignResult recovered = RunCampaign(spec, opt);
-  EXPECT_FALSE(recovered.interrupted);
-  EXPECT_EQ(recovered.trials, reference.trials);
-  // The completed run consumed (replaced, then removed) the torn journal.
-  EXPECT_FALSE(fs::exists(jpath));
 }
 
 TEST(TornState, HalfWrittenCacheTempFilesAreIgnored) {

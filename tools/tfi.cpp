@@ -6,23 +6,21 @@
 //                 [--flips N] [--adjacent] [--jobs N]    one injection campaign
 //                 [--window N] (observation window in cycles; default 10000,
 //                 env TFI_WINDOW; part of the results-cache key)
-//                 [--fast-path|--no-fast-path] (inject-point snapshotting +
-//                 early-convergence cutoff; fast is the default and produces
-//                 byte-identical results — --no-fast-path replays every
-//                 trial from its checkpoint)
+//                 [--no-fast-path] (the default fast path snapshots inject
+//                 points and cuts off early convergence; results are
+//                 byte-identical — --no-fast-path replays every trial from
+//                 its golden checkpoint)
 //       telemetry: [--metrics-json FILE] [--prop-trace FILE]
 //                  [--chrome-trace FILE] [--progress]
 //                  [--events-jsonl FILE] (structured campaign event journal)
 //                  [--heatmap-json FILE] [--heatmap-csv FILE] (per-field
 //                  vulnerability heatmap)
-//       resilience: [--checkpoint-every N] (default 250, env
-//                   TFI_CHECKPOINT_EVERY; 0 disables; SIGINT drains
-//                   in-flight trials, flushes the checkpoint + partial
-//                   exports, and a rerun resumes from the journal)
-//                   TFI_FAILPOINTS=<spec> arms the chaos failpoints
+//       resilience: TFI_FAILPOINTS=<spec> arms the chaos failpoints
 //                   (util/failpoint.h) for fault drills
 //
-// Exit codes: 0 success; 130 SIGINT (partial results checkpointed).
+// Exit codes: 0 success; 1 error; 2 usage error. A campaign either
+// completes (and lands in the results cache) or leaves nothing: an
+// interrupted campaign reruns from its start.
 //   tfi soft <workload> <model> [--trials N]             Section 5 campaign
 //   tfi inventory [--protect]                            Table 1 state listing
 //       audit: [--json] [--coverage] [--check --baseline FILE]
@@ -37,7 +35,6 @@
 //
 // Unknown --flags are rejected with a usage error (they are never silently
 // treated as positional workload names).
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -62,7 +59,6 @@
 #include "soft/soft_inject.h"
 #include "uarch/core.h"
 #include "util/argparse.h"
-#include "util/cancel.h"
 #include "util/env.h"
 #include "util/failpoint.h"
 #include "workloads/workloads.h"
@@ -76,17 +72,6 @@
 namespace tfsim {
 namespace {
 
-// SIGINT requests cooperative cancellation: the campaign drains in-flight
-// trials, flushes its checkpoint journal, and CmdCampaign still writes the
-// partial telemetry exports before exiting with 130. A second Ctrl-C kills
-// the process the traditional way (the handler restores SIG_DFL).
-CancellationToken g_interrupt;
-
-extern "C" void HandleSigint(int) {
-  g_interrupt.Request();
-  std::signal(SIGINT, SIG_DFL);
-}
-
 struct Args {
   std::vector<std::string> positional;
   std::int64_t cycles = 200000;
@@ -95,10 +80,7 @@ struct Args {
   std::int64_t trace = 0;
   std::int64_t flips = 1;
   std::int64_t jobs = 1;
-  // Environment defaults; the flags of the same name override them.
-  std::int64_t checkpoint_every = EnvInt("TFI_CHECKPOINT_EVERY", 250);
   std::int64_t window = 0;  // 0 = GoldenSpec default (or TFI_WINDOW)
-  bool fast_path = false;   // accepted for symmetry; fast is the default
   bool no_fast_path = false;
   bool latches_only = false;
   bool protect = false;
@@ -139,15 +121,9 @@ ArgParser MakeParser(Args& a) {
   p.AddInt("flips", &a.flips, "bits flipped per trial (campaign)");
   p.AddInt("jobs", &a.jobs,
            "trial-loop worker threads; 0 = all hardware threads (campaign)");
-  p.AddInt("checkpoint-every", &a.checkpoint_every,
-           "flush a resume journal every N trials; 0 disables (campaign; "
-           "default 250 or TFI_CHECKPOINT_EVERY)");
   p.AddInt("window", &a.window,
            "trial observation window in cycles; 0 = default 10000 or "
            "TFI_WINDOW (campaign; part of the results-cache key)");
-  p.AddFlag("fast-path", &a.fast_path,
-            "inject-point snapshotting + early-convergence cutoff (campaign; "
-            "the default — results are byte-identical either way)");
   p.AddFlag("no-fast-path", &a.no_fast_path,
             "replay every trial from its checkpoint instead (campaign)");
   p.AddFlag("latches-only", &a.latches_only,
@@ -430,8 +406,6 @@ int CmdCampaign(const Args& a) {
   obs::ChromeTraceWriter chrome;
   CampaignOptions opt;
   opt.jobs = static_cast<int>(a.jobs);
-  opt.checkpoint_every = static_cast<int>(a.checkpoint_every);
-  opt.cancel = &g_interrupt;
   if (!a.metrics_json.empty()) opt.obs.sinks.metrics = &metrics;
   if (!a.chrome_trace.empty()) opt.obs.sinks.chrome = &chrome;
   opt.obs.collect_prop_traces = !a.prop_trace.empty();
@@ -451,9 +425,7 @@ int CmdCampaign(const Args& a) {
     journal.AddSink(&*events_sink);
   }
 
-  std::signal(SIGINT, HandleSigint);
   const CampaignResult r = RunCampaign(spec, opt);
-  std::signal(SIGINT, SIG_DFL);
 
   // The campaign flushed the journal before returning. Events shed by the
   // queue never reached the file, so they are not counted as written.
@@ -516,14 +488,6 @@ int CmdCampaign(const Args& a) {
   for (const auto& q : r.quarantined)
     std::fprintf(stderr, "  quarantined trial %llu: %s\n",
                  (unsigned long long)q.index, q.message.c_str());
-  if (r.interrupted) {
-    std::fprintf(stderr,
-                 "interrupted: %zu/%d trials completed%s; rerun the same "
-                 "command to resume\n",
-                 r.trials.size(), spec.trials,
-                 a.checkpoint_every > 0 ? " (checkpoint saved)" : "");
-    return 130;
-  }
   return 0;
 }
 
@@ -556,8 +520,9 @@ int CmdSoft(const Args& a) {
 
 // tfi sweep [workload] — geometry sensitivity sweep. Expands --suite
 // (optionally restricted to --axis) into per-point campaigns run through the
-// ordinary machinery, so the per-point results cache, checkpoint/resume and
-// byte-identical records at any --jobs value all carry over. The exports
+// ordinary machinery, so the per-point results cache (a rerun skips the
+// points already cached) and byte-identical records at any --jobs value
+// carry over. The exports
 // join per-structure failure rates with golden-run occupancy into
 // vulnerability-vs-utilization curves.
 int CmdSweep(const Args& a) {
@@ -574,15 +539,11 @@ int CmdSweep(const Args& a) {
 
   CampaignOptions opt;
   opt.jobs = static_cast<int>(a.jobs);
-  opt.checkpoint_every = static_cast<int>(a.checkpoint_every);
-  opt.cancel = &g_interrupt;
   opt.obs.progress = a.progress;
   opt.check_invariants = a.check;
   opt.fast_path = !a.no_fast_path;
 
-  std::signal(SIGINT, HandleSigint);
   const SweepResult r = RunSweep(spec, a.axis, opt);
-  std::signal(SIGINT, SIG_DFL);
 
   bool exported = false;
   if (!a.sweep_json.empty() || a.json) {
@@ -621,13 +582,6 @@ int CmdSweep(const Args& a) {
                       c.structure.c_str(), 100.0 * c.utilization,
                       100.0 * c.vulnerability, (unsigned long long)c.trials);
     }
-  }
-  if (r.interrupted) {
-    std::fprintf(stderr,
-                 "interrupted: %zu point(s) completed; rerun the same "
-                 "command to resume from the checkpoint\n",
-                 r.points.size());
-    return 130;
   }
   return 0;
 }
