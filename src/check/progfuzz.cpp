@@ -152,7 +152,8 @@ FuzzProgram GenerateFuzzProgram(std::uint64_t seed, FuzzShape shape) {
 
   const int nblocks = 10 + static_cast<int>(rng.NextBelow(8));
   for (int b = 0; b < nblocks; ++b) {
-    Gen g{rng, {}, "b" + std::to_string(b) + "_", 0};
+    // Appended, not "b" + ...: GCC 12 at -O3 raises a false -Wrestrict there.
+    Gen g{rng, {}, (std::string("b") += std::to_string(b)) += '_', 0};
     // Pick a block flavor, biased by the requested shape. One roll in four
     // is an off-shape block so even specialized suites keep some mixing.
     const bool off_shape = rng.NextBelow(4) == 0;

@@ -44,8 +44,8 @@ std::shared_ptr<const GoldenRun> RecordGolden(const CoreConfig& cfg,
   // ArchViewHash reads below — the trial loop's continuous architectural
   // check reads the arch RAT and arch-mapped registers every cycle, so a
   // flip there is "accessed" even if the pipeline proper never touches it.
-  // Everything else the trial loop consults (retire events, state/category/
-  // memory hashes, store-buffer emptiness) either involves no registry reads
+  // Everything else the trial loop consults (retire events, state/memory
+  // hashes, store-buffer emptiness) either involves no registry reads
   // or cannot change a trial's classification while the machine still
   // matches golden outside the flipped words.
   std::shared_ptr<WordFirstAccessTracker> tracker;
@@ -89,7 +89,6 @@ std::shared_ptr<const GoldenRun> RecordGolden(const CoreConfig& cfg,
 
     if (!recording) return;
     tl.state_hash.push_back(core.StateHash());
-    tl.cat_hash.push_back(core.registry().CatHashes());
     // ArchViewHash runs with the tracker still installed: its reads mirror
     // the trial loop's continuous architectural check (see above). The
     // samples below are recorder-only instrumentation and stay untracked.

@@ -33,10 +33,6 @@ struct GoldenSpec {
 // all per-cycle vectors are sampled at the END of each cycle.
 struct GoldenTimeline {
   std::vector<std::uint64_t> state_hash;  // whole-machine hash per cycle
-  // Per-category registry hashes per cycle (fault-propagation tracing:
-  // comparing a trial's CatHashes() against this row tells which structures
-  // hold divergent state).
-  std::vector<StateRegistry::CatHashArray> cat_hash;
   std::vector<std::uint64_t> arch_hash;   // ArchViewHash per cycle
   std::vector<std::uint64_t> mem_hash;    // memory+output content hash
   std::vector<std::uint8_t> sb_empty;     // store buffer empty?

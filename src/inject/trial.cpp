@@ -1,6 +1,7 @@
 #include "inject/trial.h"
 
 #include <algorithm>
+#include <bit>
 #include <exception>
 #include <sstream>
 
@@ -59,6 +60,25 @@ Outcome OutcomeOf(FailureMode m) {
 // Execution attempts per trial: one retry absorbs a transient host-level
 // failure (resource exhaustion) without masking a deterministic trial bug.
 constexpr int kTrialAttempts = 2;
+
+// Restores `core` to the state just before the injection cycle: from a
+// delta snapshot when `point` is set (fast path), otherwise by replaying
+// `offset` cycles from the checkpoint. Both land on bit-identical state.
+void LoadInjectionState(Core& core, const GoldenRun& golden,
+                        const TrialSpec& spec,
+                        const GoldenFastPath::Point* point) {
+  if (point != nullptr) {
+    core.LoadDelta(golden.checkpoints[point->base_checkpoint], point->delta);
+  } else {
+    core.Load(
+        golden.checkpoints.at(static_cast<std::size_t>(spec.checkpoint)));
+  }
+  core.tlb() = golden.tlb;  // preloaded with every fault-free page
+  if (point == nullptr) {
+    // Advance deterministically to the injection cycle (identical to golden).
+    for (std::uint64_t c = 0; c < spec.offset; ++c) core.Cycle();
+  }
+}
 
 }  // namespace
 
@@ -120,10 +140,6 @@ TrialRunner::TrialRunner(std::shared_ptr<const GoldenRun> golden,
   CoreConfig cfg = golden_->cfg;
   cfg.check_invariants = policy_.check_invariants;
   core_ = std::make_unique<Core>(cfg, golden_->program);
-}
-
-std::uint64_t TrialRunner::window() const {
-  return policy_.window != 0 ? policy_.window : golden_->spec.window;
 }
 
 TrialRunner::Result TrialRunner::Run(const TrialSpec& spec, bool want_trace,
@@ -209,7 +225,7 @@ bool TrialRunner::TryShortcut(const TrialSpec& spec, const InjectionSite& site,
       !golden.fastpath.enabled || golden.fastpath.access == nullptr)
     return false;
   const GoldenTimeline& tl = golden.timeline;
-  const std::uint64_t win = window();
+  const std::uint64_t win = golden.spec.window;
   const std::uint64_t inj = site.inj_cycle;
   // The identical-execution argument needs every window cycle inside the
   // recorded timeline (the loop classifies Gray when it falls off the end,
@@ -321,9 +337,6 @@ TrialRecord TrialRunner::Simulate(const TrialSpec& spec,
   Core& core = *core_;
   TrialRecord rec;
 
-  // Restore the machine at the injection cycle: from a pre-captured delta
-  // snapshot when available (fast path), otherwise by replaying `offset`
-  // cycles from the checkpoint. Both land on bit-identical machine state.
   // Checked runs always replay — violation cycles are reported relative to
   // the checkpoint Load, and the pre-injection advance must be checked too.
   const GoldenFastPath::Point* point = nullptr;
@@ -332,16 +345,13 @@ TrialRecord TrialRunner::Simulate(const TrialSpec& spec,
     const auto it = golden.fastpath.points.find(site.inj_cycle);
     if (it != golden.fastpath.points.end()) point = &it->second;
   }
-  if (point != nullptr) {
-    core.LoadDelta(golden.checkpoints[point->base_checkpoint], point->delta);
-  } else {
-    core.Load(
-        golden.checkpoints.at(static_cast<std::size_t>(spec.checkpoint)));
-  }
-  core.tlb() = golden.tlb;  // preloaded with every fault-free page
-  if (point == nullptr) {
-    // Advance deterministically to the injection cycle (identical to golden).
-    for (std::uint64_t c = 0; c < spec.offset; ++c) core.Cycle();
+  LoadInjectionState(core, golden, spec, point);
+  // Propagation tracing diffs the trial machine against a fault-free
+  // replica started from the same state and stepped in lockstep.
+  if (trace) {
+    if (!replica_)
+      replica_ = std::make_unique<Core>(golden.cfg, golden.program);
+    LoadInjectionState(*replica_, golden, spec, point);
   }
 
   const std::uint64_t base = site.base;
@@ -395,7 +405,7 @@ TrialRecord TrialRunner::Simulate(const TrialSpec& spec,
     return rec;
   };
 
-  const std::uint64_t win = window();
+  const std::uint64_t win = golden.spec.window;
   std::uint64_t no_retire_cycles = 0;
   // Absolute retirement index for event comparison. Tracked locally because
   // exception events appear in RetiredThisCycle() without incrementing the
@@ -407,21 +417,20 @@ TrialRecord TrialRunner::Simulate(const TrialSpec& spec,
     if (gidx >= tl.state_hash.size())
       return finish(Outcome::kGrayArea, FailureMode::kNoFailure, c);
 
-    // Propagation tracing: which categories hold state divergent from the
-    // golden machine at this cycle, and when the fault first escaped the
-    // injected category. Read-only with respect to the machine.
-    if (trace && gidx < tl.cat_hash.size()) {
-      const StateRegistry::CatHashArray& want_cats = tl.cat_hash[gidx];
-      const StateRegistry::CatHashArray& got_cats =
-          core.registry().CatHashes();
-      for (int cat = 0; cat < kNumStateCats; ++cat) {
-        if (got_cats[cat] == want_cats[cat]) continue;
-        trace->cats_touched_mask |= 1u << cat;
-        if (static_cast<StateCat>(cat) != site.primary.cat &&
-            trace->first_spread_cycle < 0) {
-          trace->first_spread_cycle = static_cast<std::int64_t>(c);
-          trace->first_spread_cat = static_cast<StateCat>(cat);
-        }
+    // Propagation tracing: which categories differ from the golden replica
+    // this cycle, and when the fault first escaped the injected category
+    // (lowest category index first). Read-only for the trial machine.
+    if (trace) {
+      replica_->Cycle();
+      const std::uint32_t fresh = core.registry().DivergentCats(
+          replica_->registry(), trace->cats_touched_mask);
+      trace->cats_touched_mask |= fresh;
+      const std::uint32_t spread =
+          fresh & ~(1u << static_cast<int>(site.primary.cat));
+      if (spread != 0 && trace->first_spread_cycle < 0) {
+        trace->first_spread_cycle = static_cast<std::int64_t>(c);
+        trace->first_spread_cat =
+            static_cast<StateCat>(std::countr_zero(spread));
       }
     }
 

@@ -41,14 +41,10 @@ struct TrialSpec {
   bool adjacent = false;
 };
 
-// How TrialRunner executes trials. Execution policy only: every combination
-// of fast_path and window classifies a given TrialSpec identically (window
-// changes the observation length, which IS part of the result — it is a
-// policy knob so hosts can thread GoldenSpec::window through explicitly;
-// 0 means "the golden run's window").
+// How TrialRunner executes trials. Execution policy only: fast_path
+// classifies a given TrialSpec identically either way.
 struct TrialPolicy {
   bool fast_path = true;        // use fast-path data when the golden has it
-  std::uint64_t window = 0;     // observation window; 0 = golden.spec.window
   bool check_invariants = false;  // run the replica with the cycle checker
 };
 
@@ -80,9 +76,10 @@ FastPathPlan PlanFastPath(const GoldenSpec& spec,
 
 // Runs fault-injection trials against one golden run on a privately owned
 // core replica (campaign workers hold one runner each; the golden run is
-// shared read-only). Classification depends only on the golden run, the
-// TrialSpec, and the effective window — never on fast_path, on how many
-// attempts a trial took, or on how many trials ran before.
+// shared read-only). Classification depends only on the golden run and the
+// TrialSpec — never on fast_path, on how many attempts a trial took, or on
+// how many trials ran before. A traced trial that simulates also steps a
+// second, fault-free replica in lockstep to see which categories diverge.
 class TrialRunner {
  public:
   explicit TrialRunner(std::shared_ptr<const GoldenRun> golden,
@@ -123,9 +120,6 @@ class TrialRunner {
   Core& core() { return *core_; }
   const Core& core() const { return *core_; }
 
-  // The observation window Run() classifies against.
-  std::uint64_t window() const;
-
  private:
   TrialRecord RunOnce(const TrialSpec& spec, obs::PropagationTrace* trace,
                       bool* fast);
@@ -137,6 +131,7 @@ class TrialRunner {
   std::shared_ptr<const GoldenRun> golden_;
   TrialPolicy policy_;
   std::unique_ptr<Core> core_;
+  std::unique_ptr<Core> replica_;  // fault-free twin; built on first trace
 };
 
 }  // namespace tfsim

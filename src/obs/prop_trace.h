@@ -1,8 +1,8 @@
 // Per-trial fault-propagation trace: where an injected bit went and how
 // long it took to get there. Recorded during differential execution in
-// inject/trial.cpp (at category granularity, using the state registry's
-// per-category content hashes against the golden timeline) and exported as
-// one JSONL row per trial alongside the aggregate CSVs.
+// inject/trial.cpp (at category granularity, diffing the registry against a
+// fault-free replica stepped in lockstep) and exported as one JSONL row per
+// trial alongside the aggregate CSVs.
 //
 // This surfaces the paper's latency and masking story per trial: a fault is
 // *architecturally latent* between injection and first architectural
@@ -43,7 +43,7 @@ struct PropagationTrace {
   // never spread.
   std::int64_t first_spread_cycle = -1;
   // Category that first received the spread (valid when first_spread_cycle
-  // >= 0).
+  // >= 0); the lowest StateCat index among those that spread that cycle.
   StateCat first_spread_cat = StateCat::kCtrl;
   // Bitmask (1 << StateCat) of every category observed divergent from golden
   // at any point before classification. Includes the injected category

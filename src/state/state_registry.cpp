@@ -105,7 +105,6 @@ StateField StateRegistry::Allocate(std::string name, StateCat cat,
   f.site_file = site.file_name();
   f.site_line = site.line();
   words_.resize(words_.size() + count, 0);
-  word_cat_.resize(words_.size(), static_cast<std::uint8_t>(cat));
   fields_.push_back(f);
 
   StateField h;
@@ -126,11 +125,19 @@ std::uint64_t StateRegistry::RecomputeHash() const {
   return h;
 }
 
-StateRegistry::CatHashArray StateRegistry::RecomputeCatHashes() const {
-  CatHashArray h{};
-  for (std::size_t w = 0; w < words_.size(); ++w)
-    h[word_cat_[w]] ^= Contribution(w, words_[w]);
-  return h;
+std::uint32_t StateRegistry::DivergentCats(const StateRegistry& other,
+                                           std::uint32_t skip) const {
+  if (other.words_.size() != words_.size())
+    throw std::invalid_argument("registry layout mismatch");
+  std::uint32_t mask = 0;
+  for (const Field& f : fields_) {
+    const std::uint32_t bit = 1u << static_cast<int>(f.cat);
+    const std::uint64_t* w = words_.data() + f.offset;
+    if (((skip | mask) & bit) == 0 &&
+        !std::equal(w, w + f.count, other.words_.data() + f.offset))
+      mask |= bit;
+  }
+  return mask;
 }
 
 std::uint64_t StateRegistry::InjectableBits(bool include_ram) const {

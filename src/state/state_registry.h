@@ -28,7 +28,6 @@
 //     checkpoint-per-start-point methodology.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <source_location>
 #include <string>
@@ -210,20 +209,14 @@ class StateRegistry {
   // included). O(1) to read.
   std::uint64_t Hash() const { return hash_; }
 
-  // Per-category incremental content hash (same contribution function as
-  // Hash(), partitioned by the owning field's StateCat). Comparing these
-  // against a golden run's at the same cycle tells WHICH structures hold
-  // divergent state — the basis of fault-propagation tracing. O(1) to read;
-  // maintenance piggybacks on the existing per-write hash update.
-  std::uint64_t CatHash(StateCat cat) const {
-    return cat_hash_[static_cast<std::size_t>(cat)];
-  }
-  using CatHashArray = std::array<std::uint64_t, kNumStateCats>;
-  const CatHashArray& CatHashes() const { return cat_hash_; }
-
   // Full recomputation; used by tests to validate the incremental hash.
   std::uint64_t RecomputeHash() const;
-  CatHashArray RecomputeCatHashes() const;
+
+  // Bitmask (1 << StateCat) of the categories with a word that differs from
+  // `other`, a registry of the same layout; categories set in `skip` are not
+  // compared. Propagation tracing diffs a trial against a golden replica.
+  std::uint32_t DivergentCats(const StateRegistry& other,
+                              std::uint32_t skip = 0) const;
 
   // --- fault injection ----------------------------------------------------
 
@@ -327,7 +320,7 @@ class StateRegistry {
                        Mix64(value));
   }
   // Swaps `word_index`'s cached term for the one of `after` (the word's new
-  // value) in the whole-registry and per-category hashes.
+  // value) in the content hash.
   void UpdateHash(std::size_t word_index, std::uint64_t after) {
     if (word_index >= contrib_.size()) [[unlikely]]
       contrib_.resize(words_.size(), 0);
@@ -335,13 +328,10 @@ class StateRegistry {
     const std::uint64_t delta = contrib_[word_index] ^ c;
     contrib_[word_index] = c;
     hash_ ^= delta;
-    cat_hash_[word_cat_[word_index]] ^= delta;
   }
 
   std::vector<std::uint64_t> words_;
   std::vector<Field> fields_;
-  // Category of each word, parallel to words_ (for the per-category hash).
-  std::vector<std::uint8_t> word_cat_;
   // Contribution(w, words_[w]), parallel to words_ but sized on the first
   // write after an Allocate: words past its end were never written, so they
   // are zero and contribute zero. A core allocates every field before its
@@ -349,7 +339,6 @@ class StateRegistry {
   // words_' growth steps, whose freed buffers the allocator would retain.
   std::vector<std::uint64_t> contrib_;
   std::uint64_t hash_ = 0;
-  CatHashArray cat_hash_{};
   WordFirstAccessTracker* tracker_ = nullptr;
 };
 

@@ -1,65 +1,20 @@
-// The parallel campaign engine's defining property: `jobs` is an execution
-// knob, never a results knob. Trial records, propagation traces and the
-// deterministic portion of the metrics export must be byte-identical at
-// every worker count (test_paths.cpp crosses worker counts with the other
-// execution paths).
+// The parallel campaign engine around the trial loop: trial specs depend
+// only on the campaign spec, a cache hit replays the campaign counters, and
+// merged results refuse incompatible parts. That `jobs` is an execution knob,
+// never a results knob, is the PathEquivalence matrix's job (test_paths.cpp
+// compares every cell at jobs 1 and 4 with one reference).
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
 #include "campaign_fixture.h"
 #include "inject/campaign.h"
 #include "obs/metrics.h"
-#include "obs/prop_trace.h"
 #include "uarch/core.h"
 #include "workloads/workloads.h"
 
 namespace tfsim {
 namespace {
-
-// Runs the campaign live with `jobs` workers, metrics attached and
-// propagation tracing on.
-CampaignResult RunLive(const CampaignSpec& spec, int jobs,
-                       obs::MetricsRegistry* metrics) {
-  CampaignOptions opt = QuietLive();
-  opt.jobs = jobs;
-  opt.obs.sinks.metrics = metrics;
-  opt.obs.collect_prop_traces = true;
-  return RunCampaign(spec, opt);
-}
-
-std::string DeterministicJson(const obs::MetricsRegistry& m) {
-  std::ostringstream os;
-  m.WriteJson(os, /*include_timers=*/false);
-  return os.str();
-}
-
-std::string TraceRows(const CampaignResult& r) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < r.prop_traces.size(); ++i)
-    obs::WritePropTraceRow(r.prop_traces[i], r.spec.workload, i, os);
-  return os.str();
-}
-
-TEST(CampaignParallel, JobsDoNotChangeResultsOrMetrics) {
-  const CampaignSpec spec = SmallCampaign(40);
-  obs::MetricsRegistry m1, m4;
-  const CampaignResult r1 = RunLive(spec, 1, &m1);
-  const CampaignResult r4 = RunLive(spec, 4, &m4);
-
-  ASSERT_EQ(r1.trials.size(), 40u);
-  EXPECT_EQ(r1.trials, r4.trials);
-  EXPECT_EQ(r1.ByOutcome(), r4.ByOutcome());
-  EXPECT_EQ(r1.ByFailureMode(), r4.ByFailureMode());
-  EXPECT_EQ(r1.spec.CacheKey(), r4.spec.CacheKey());
-  ASSERT_EQ(r1.prop_traces.size(), 40u);
-  EXPECT_EQ(TraceRows(r1), TraceRows(r4));
-
-  // Counters and histograms (Welford summaries included) must match to the
-  // byte; only wall-clock timers are excluded from the deterministic export.
-  EXPECT_EQ(DeterministicJson(m1), DeterministicJson(m4));
-}
 
 TEST(CampaignParallel, TrialSpecsDependOnlyOnCampaignSpec) {
   const CampaignSpec spec = SmallCampaign(64);

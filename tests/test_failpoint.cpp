@@ -163,24 +163,6 @@ TEST(Failpoint, CacheAndCheckpointLoadFailuresDegradeToMiss) {
   EXPECT_TRUE(LoadCachedCampaign(spec).has_value());
 }
 
-TEST(Failpoint, CampaignSurvivesDurabilityChaosWithIdenticalRecords) {
-  FailpointGuard guard;
-  ScopedCacheDir cache("tfi_fp_campaign_chaos");
-  const CampaignSpec spec = SmallCampaign(10);
-  const CampaignResult reference = RunCampaign(spec, QuietLive());
-
-  // Arm every durability seam with intermittent failure, then run with the
-  // cache on: the campaign must complete with records byte-identical to the
-  // clean run.
-  ASSERT_TRUE(fail::ConfigureFromSpec(
-      "fs.atomic_write=error@1in3;cache.load=error;cache.store=error@1in2"));
-  CampaignOptions opt = QuietLive();
-  opt.use_cache = true;
-  opt.jobs = 4;
-  const CampaignResult chaotic = RunCampaign(spec, opt);
-  EXPECT_EQ(chaotic.trials, reference.trials);
-}
-
 TEST(Failpoint, JsonlSinkDisablesItselfOnWriteFailure) {
   FailpointGuard guard;
   // The sink hits the write failpoint on its first event, marks the stream

@@ -11,9 +11,7 @@
 
 #include "campaign_fixture.h"
 #include "inject/campaign.h"
-#include "inject/report.h"
 #include "inject/trial.h"
-#include "obs/metrics.h"
 #include "obs/prop_trace.h"
 #include "state/state_registry.h"
 #include "uarch/core.h"
@@ -338,49 +336,6 @@ TEST(TrialFastPath, WindowIsPartOfTheCacheKey) {
   CampaignSpec b = a;
   b.golden.window += 1;
   EXPECT_NE(a.CacheKey(), b.CacheKey());
-}
-
-// Whole-campaign A/B at jobs 1 and 4: outcome distributions, metrics JSON
-// (timer-less export is byte-deterministic), propagation traces and heatmap
-// exports, on the 2500-cycle window the shortcut pins above run on.
-TEST(TrialFastPath, CampaignDistributionsMetricsAndHeatmapsIdentical) {
-  const CampaignSpec spec = FastpathCampaign(40);
-  struct Out {
-    CampaignResult result;
-    std::string metrics;
-  };
-  const auto run = [&](bool fast_path, int jobs) {
-    obs::MetricsRegistry metrics;
-    CampaignOptions opt = QuietLive();
-    opt.jobs = jobs;
-    opt.fast_path = fast_path;
-    opt.obs.collect_prop_traces = true;
-    opt.obs.sinks.metrics = &metrics;
-    Out out{RunCampaign(spec, opt), {}};
-    std::ostringstream os;
-    metrics.WriteJson(os, /*include_timers=*/false);
-    out.metrics = os.str();
-    return out;
-  };
-  // A fixed generated_at stamp: the two exports must not differ just
-  // because they were written on either side of a second boundary.
-  const auto heatmap = [&](const CampaignResult& r) {
-    std::ostringstream os;
-    BuildHeatmap(r).WriteJson(os, spec.workload, "2026-01-01T00:00:00Z");
-    return os.str();
-  };
-  const Out slow1 = run(/*fast_path=*/false, /*jobs=*/1);
-  for (const Out& f : {run(true, 1), run(true, 4)}) {
-    EXPECT_EQ(f.result.trials, slow1.result.trials);
-    EXPECT_EQ(f.result.ByOutcome(), slow1.result.ByOutcome());
-    EXPECT_EQ(f.result.ByFailureMode(), slow1.result.ByFailureMode());
-    EXPECT_EQ(f.metrics, slow1.metrics);
-    ASSERT_EQ(f.result.prop_traces.size(), slow1.result.prop_traces.size());
-    for (std::size_t i = 0; i < f.result.prop_traces.size(); ++i)
-      EXPECT_EQ(TraceRow(f.result.prop_traces[i], spec.workload, i),
-                TraceRow(slow1.result.prop_traces[i], spec.workload, i));
-    EXPECT_EQ(heatmap(f.result), heatmap(slow1.result));
-  }
 }
 
 }  // namespace

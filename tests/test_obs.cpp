@@ -1,9 +1,10 @@
 // Observability layer: JSON emitter golden outputs, validator, metrics
-// registry determinism, per-category registry hashes, and propagation-trace
-// sanity on real injection trials.
+// registry determinism, the registry diff behind propagation traces, and
+// propagation-trace sanity on real injection trials.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -174,37 +175,27 @@ TEST(ChromeTrace, EmitsValidTraceEventJson) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-category registry hashes
+// Registry diff (the per-cycle category test behind propagation traces)
 // ---------------------------------------------------------------------------
 
-TEST(CatHash, IncrementalMatchesRecomputationAndPartitionsHash) {
-  Core core(CoreConfig{}, BuildWorkload(WorkloadByName("gzip"), 2));
-  for (int c = 0; c < 2000; ++c) core.Cycle();
-  const StateRegistry& reg = core.registry();
-  const auto recomputed = reg.RecomputeCatHashes();
-  std::uint64_t xor_all = 0;
-  for (int c = 0; c < kNumStateCats; ++c) {
-    EXPECT_EQ(reg.CatHash(static_cast<StateCat>(c)), recomputed[c])
-        << "category " << StateCatName(static_cast<StateCat>(c));
-    xor_all ^= recomputed[c];
+TEST(RegistryDiff, FlipMarksExactlyItsCategoryUntilFlippedBack) {
+  const Program prog = BuildWorkload(WorkloadByName("gzip"), 2);
+  Core faulty(CoreConfig{}, prog);
+  Core replica(CoreConfig{}, prog);
+  for (int c = 0; c < 1000; ++c) {
+    faulty.Cycle();
+    replica.Cycle();
   }
-  // The per-category hashes partition the whole-registry hash.
-  EXPECT_EQ(xor_all, reg.Hash());
-}
-
-TEST(CatHash, FlipTouchesExactlyItsCategory) {
-  Core core(CoreConfig{}, BuildWorkload(WorkloadByName("gzip"), 2));
-  for (int c = 0; c < 1000; ++c) core.Cycle();
-  const auto before = core.registry().CatHashes();
-  const BitLocation loc = core.registry().LocateBit(12345, true);
-  core.registry().FlipBit(loc);
-  const auto after = core.registry().CatHashes();
-  for (int c = 0; c < kNumStateCats; ++c) {
-    if (static_cast<StateCat>(c) == loc.cat)
-      EXPECT_NE(before[c], after[c]);
-    else
-      EXPECT_EQ(before[c], after[c]);
-  }
+  StateRegistry& reg = faulty.registry();
+  EXPECT_EQ(reg.DivergentCats(replica.registry()), 0u);
+  const BitLocation loc = reg.LocateBit(12345, true);
+  const std::uint32_t home = 1u << static_cast<int>(loc.cat);
+  reg.FlipBit(loc);
+  EXPECT_EQ(reg.DivergentCats(replica.registry()), home);
+  EXPECT_EQ(reg.DivergentCats(replica.registry(), /*skip=*/home), 0u);
+  reg.FlipBit(loc);
+  EXPECT_EQ(reg.DivergentCats(replica.registry()), 0u);
+  EXPECT_THROW(reg.DivergentCats(StateRegistry{}), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -98,6 +98,7 @@ TEST_P(PathEquivalence, MatchesReference) {
   const Observed& ref = Reference();
   ASSERT_EQ(ref.result.trials.size(), static_cast<std::size_t>(kTrials));
   ASSERT_EQ(ref.trial_done.size(), static_cast<std::size_t>(kTrials));
+  ASSERT_EQ(ref.result.prop_traces.size(), static_cast<std::size_t>(kTrials));
   // The golden run's pipeline histograms share the export with the
   // campaign counters.
   ASSERT_NE(ref.metrics.find("\"pipe.rob.occupancy\""), std::string::npos);
