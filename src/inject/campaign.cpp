@@ -123,7 +123,7 @@ namespace {
 // records, classification counts and cache keys are byte-identical with it
 // on or off (tests/test_telemetry.cpp). The destructor detaches the
 // per-campaign sinks on every exit path, since the caller's journal
-// outlives the campaign (RemoveSink waits out in-flight deliveries).
+// outlives the campaign.
 struct CampaignRun {
   CampaignRun(const CampaignSpec& s, const CampaignOptions& o)
       : spec(s), opt(o), key(s.CacheKey()),
@@ -133,7 +133,6 @@ struct CampaignRun {
     if (!journal && (o.obs.progress || o.obs.sinks.chrome))
       journal = &local_journal.emplace();
     if (!journal) return;
-    dropped_before = journal->dropped();
     if (o.obs.progress)
       journal->AddSink(&progress.emplace(key, s.trials, std::cerr));
     if (o.obs.sinks.chrome)
@@ -155,20 +154,6 @@ struct CampaignRun {
           .detail = std::move(detail)});
   }
 
-  // The finish event, then a drain so the journal (with the --progress
-  // summary and the chrome lane) is complete when RunCampaign returns. The
-  // event carries the number of events the (shared, possibly pre-used)
-  // journal shed to backpressure during THIS campaign.
-  void Finish(std::uint64_t kept) const {
-    if (!journal) return;
-    const std::uint64_t dropped = journal->dropped() - dropped_before;
-    if (metrics && dropped)
-      metrics->GetCounter("campaign.events.dropped").Inc(dropped);
-    journal->Emit({.kind = obs::EventKind::kCampaignFinish, .value = kept,
-                   .dropped = dropped});
-    journal->Flush();
-  }
-
   const CampaignSpec& spec;
   const CampaignOptions& opt;
   const std::string key;
@@ -183,7 +168,6 @@ struct CampaignRun {
   obs::EventJournal* journal;
   std::optional<obs::ProgressSink> progress;
   std::optional<obs::ChromeLaneSink> chrome_lane;
-  std::uint64_t dropped_before = 0;
 };
 
 // Replays a campaign's per-trial counters and histograms into `m`, in trial
@@ -451,7 +435,7 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
   c.Emit({.kind = obs::EventKind::kCampaignStart, .field = spec.workload,
           .value = static_cast<std::uint64_t>(spec.trials), .detail = c.key});
   if (std::optional<CampaignResult> cached = LoadFromCache(c)) {
-    c.Finish(cached->trials.size());
+    c.Emit(obs::EventKind::kCampaignFinish, cached->trials.size());
     return *cached;
   }
   if (c.metrics) c.metrics->GetCounter("campaign.cache.misses").Inc();
@@ -463,7 +447,7 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
       RecordCampaignGolden(c, plan, result);
   std::vector<CompletedTrial> done = Execute(c, plan, golden);
   Finalize(c, done, result);
-  c.Finish(result.trials.size());
+  c.Emit(obs::EventKind::kCampaignFinish, result.trials.size());
   return result;
 }
 

@@ -4,11 +4,11 @@
 #include <map>
 #include <stdexcept>
 
-#include "inject/trial.h"
+#include "inject/golden.h"
+#include "inject/report.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "soft/harden.h"
-#include "workloads/workloads.h"
 
 namespace tfsim {
 namespace {
@@ -166,7 +166,7 @@ SweepResult RunSweep(const SweepSpec& spec, const std::string& axis,
     // so re-recording just the golden run recovers byte-identical values —
     // cached reruns export exactly what the live run did.
     obs::MetricsRegistry replay;
-    const obs::MetricsRegistry* occ = &metrics;
+    obs::MetricsRegistry* occ = &metrics;
     if (metrics.GetHistogram("pipe.rob.occupancy").stat().Count() == 0) {
       pr.from_cache = true;
       obs::ObsSinks sinks;
@@ -175,20 +175,14 @@ SweepResult RunSweep(const SweepSpec& spec, const std::string& axis,
       occ = &replay;
     }
 
-    // Per-structure outcome distributions, re-derived from the seeded trial
-    // stream exactly like BuildHeatmap (works for cached results).
-    Core core(cspec.core, program);
-    const StateRegistry& reg = core.registry();
-    const std::vector<TrialSpec> tspecs =
-        MakeTrialSpecs(cspec, reg.InjectableBits(cspec.include_ram));
+    // Per-structure outcome distributions: the heatmap's per-field cells
+    // summed by structure (works for cached results).
+    const obs::VulnerabilityHeatmap hm = BuildHeatmap(cres);
     std::map<std::string, StructureCell> cells;
-    for (std::size_t i = 0; i < cres.trials.size() && i < tspecs.size(); ++i) {
-      const BitLocation loc =
-          ResolveInjectionSite(cspec.golden, tspecs[i], reg).primary;
-      StructureCell& c = cells[StructureOf(loc.name)];
-      c.trials++;
-      const Outcome o = cres.trials[i].outcome;
-      if (o == Outcome::kSdc || o == Outcome::kTerminated) c.failures++;
+    for (const auto& [field, hc] : hm.cells()) {
+      StructureCell& c = cells[StructureOf(field)];
+      c.trials += hc.trials;
+      c.failures += hc.Failures();
     }
     for (auto& [name, cell] : cells) {
       cell.structure = name;
@@ -199,10 +193,7 @@ SweepResult RunSweep(const SweepSpec& spec, const std::string& axis,
       for (const OccupancySource& src : kOccupancy) {
         if (name != src.structure) continue;
         cell.capacity = static_cast<std::uint64_t>(cspec.core.*src.capacity);
-        // const_cast-free lookup: GetHistogram on a const registry is not
-        // available, so go through a mutable alias of the chosen registry.
-        auto& m = const_cast<obs::MetricsRegistry&>(*occ);
-        const obs::Histogram& h = m.GetHistogram(src.histogram);
+        const obs::Histogram& h = occ->GetHistogram(src.histogram);
         if (h.stat().Count() > 0 && cell.capacity > 0)
           cell.utilization =
               h.stat().Mean() / static_cast<double>(cell.capacity);

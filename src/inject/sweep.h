@@ -11,8 +11,8 @@
 // --jobs value carry over unchanged.
 //
 // Each point joins two views of the same machine:
-//   * per-structure outcome distributions, re-derived from the trial stream
-//     the way BuildHeatmap does (field name prefix = structure), and
+//   * per-structure outcome distributions, BuildHeatmap's per-field cells
+//     summed by structure (field name prefix = structure), and
 //   * golden-run occupancy metrics (pipe.*.occupancy histogram means, the
 //     PR 1/PR 6 instrumentation) normalized by configured capacity,
 // yielding AVF-style vulnerability-vs-utilization curves per structure.

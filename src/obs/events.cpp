@@ -86,7 +86,6 @@ std::string RenderEventJson(const Event& e) {
       break;
     case EventKind::kCampaignFinish:
       w.Field("trials_kept", e.value);
-      w.Field("events_dropped", e.dropped);
       break;
   }
   w.End();
@@ -109,99 +108,30 @@ std::string RenderJournalHeader(std::string_view generated_at) {
 // EventJournal
 // ---------------------------------------------------------------------------
 
-EventJournal::EventJournal(std::size_t capacity)
-    : capacity_(capacity ? capacity : 1),
-      epoch_(std::chrono::steady_clock::now()),
-      drain_([this] { DrainLoop(); }) {}
-
-EventJournal::~EventJournal() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  not_empty_.notify_all();
-  drain_.join();
-}
-
 void EventJournal::AddSink(EventSink* sink) {
   std::lock_guard<std::mutex> lock(mu_);
   sinks_.push_back(sink);
 }
 
 void EventJournal::RemoveSink(EventSink* sink) {
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   sinks_.erase(std::remove(sinks_.begin(), sinks_.end(), sink), sinks_.end());
-  // The drain thread snapshots the sink list before delivering unlocked, so
-  // an in-flight delivery may still hold this sink: wait it out, after which
-  // the caller may safely destroy the sink.
-  drained_.wait(lock, [&] { return !in_flight_; });
-}
-
-std::uint64_t EventJournal::NowUs() const {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count());
 }
 
 void EventJournal::Emit(Event e) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (stop_) return;
-  // Stamp under the lock: the journal stream is monotone in ts_us.
-  e.ts_us = NowUs();
-  // Overflow policy: drop the OLDEST queued event (with a counter) rather
-  // than blocking the emitter — a slow sink sheds telemetry, it never stalls
-  // a trial worker. Recent events are the valuable ones (the progress line
-  // and the campaign_finish footer both want the present).
-  if (queue_.size() >= capacity_) {
-    queue_.pop_front();
-    ++dropped_;
-  }
-  queue_.push_back(std::move(e));
+  std::lock_guard<std::mutex> lock(mu_);
+  // Stamp and deliver under one lock: the stream is monotone in ts_us.
+  e.ts_us = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - epoch_)
+          .count());
   ++emitted_;
-  lock.unlock();
-  not_empty_.notify_one();
-}
-
-void EventJournal::Flush() {
-  std::unique_lock<std::mutex> lock(mu_);
-  // "Everything delivered" is queue-empty + no sink call in flight (a
-  // delivered count would never catch emitted_ after a drop-oldest overflow).
-  drained_.wait(lock,
-                [&] { return (queue_.empty() && !in_flight_) || stop_; });
+  for (EventSink* s : sinks_) s->OnEvent(e);
 }
 
 std::uint64_t EventJournal::emitted() const {
   std::lock_guard<std::mutex> lock(mu_);
   return emitted_;
-}
-
-std::uint64_t EventJournal::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
-void EventJournal::DrainLoop() {
-  for (;;) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [&] { return !queue_.empty() || stop_; });
-    if (queue_.empty() && stop_) return;
-    const Event e = std::move(queue_.front());
-    queue_.pop_front();
-    // Snapshot the sink list so OnEvent runs unlocked (a sink may be slow;
-    // emitters must only contend on the queue push).
-    const std::vector<EventSink*> sinks = sinks_;
-    in_flight_ = true;
-    lock.unlock();
-
-    for (EventSink* s : sinks) s->OnEvent(e);
-
-    lock.lock();
-    in_flight_ = false;
-    lock.unlock();
-    // Wakes both Flush (queue drained) and RemoveSink (!in_flight).
-    drained_.notify_all();
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -324,8 +254,6 @@ ChromeLaneSink::ChromeLaneSink(ChromeTraceWriter& chrome) : chrome_(chrome) {
 }
 
 void ChromeLaneSink::OnEvent(const Event& e) {
-  if (e.kind == EventKind::kGoldenDone) live_ = true;
-  if (!live_) return;
   constexpr int kPid = ChromeTraceWriter::kPidCampaign;
   if (e.kind == EventKind::kTrialDone) {
     if (named_.insert(e.worker).second)

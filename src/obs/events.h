@@ -1,16 +1,14 @@
 // Structured campaign event journal: every campaign-level happening
 // (start/finish, golden recorded, cache hit/store, per-trial completion with
-// outcome and wall time, retry/quarantine) becomes one typed Event, pushed into a bounded in-memory
-// queue and drained by a dedicated writer thread. Trial workers therefore
-// never perform journal I/O, and Emit() never blocks: when the queue is full
-// behind a slow sink, the oldest queued event is dropped and counted
-// (dropped(); surfaced as `events_dropped` on the campaign_finish footer and
-// the campaign.events.dropped metric) — telemetry loss is bounded and
-// observable, but it can never stall trial execution.
+// outcome and wall time, retry/quarantine) becomes one typed Event, delivered
+// by Emit() to every attached EventSink on the emitting thread, under the
+// journal's one mutex. Nothing is queued and nothing is dropped: the stream
+// is lossless and monotone in ts_us (stamped under the same mutex). A slow
+// sink makes the emitting trial worker wait; it never loses an event. Sinks
+// cost microseconds per event against milliseconds per trial, so that wait
+// does not show in campaign wall time (BM_CampaignTrialsTelemetry).
 //
-// Consumers subscribe as EventSinks and run on the drain thread, in emit
-// order (event timestamps are assigned under the queue lock, so the stream
-// is monotone in ts_us). The shipped sinks:
+// Consumers subscribe as EventSinks. The shipped sinks:
 //   * JsonlEventSink — one JSON object per line after a schema_version
 //     header; the on-disk wire format of `tfi campaign --events-jsonl`.
 //   * ProgressSink   — the `--progress` stderr lines (monotonic trials/sec,
@@ -25,15 +23,12 @@
 
 #include <array>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <ostream>
 #include <set>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "inject/outcome.h"
@@ -50,8 +45,7 @@ enum class EventKind : std::uint8_t {
   kTrialDone,         // one trial classified; full injection-site payload
   kTrialRetry,        // an execution attempt threw; value=attempt, detail=why
   kTrialQuarantine,   // all attempts failed (or an invariant tripped)
-  kCampaignFinish,    // value=trials kept; dropped=events shed by the queue
-                      // (the journal footer)
+  kCampaignFinish,    // value=trials kept (the journal footer)
 };
 inline constexpr int kNumEventKinds = 8;
 const char* EventKindName(EventKind k);
@@ -59,7 +53,7 @@ const char* EventKindName(EventKind k);
 struct Event {
   EventKind kind = EventKind::kCampaignStart;
   std::uint64_t ts_us = 0;  // microseconds since journal creation (monotonic;
-                            // stamped by Emit under the queue lock)
+                            // stamped by Emit under the journal lock)
   std::int64_t trial = -1;  // trial index, -1 when not trial-scoped
 
   // Trial payload (kTrialDone; also cat/storage defaults elsewhere).
@@ -82,7 +76,6 @@ struct Event {
   // Generic payload (see the per-kind notes above).
   std::uint64_t value = 0;
   std::string detail{};
-  std::uint64_t dropped = 0;   // kCampaignFinish only: queue drops this run
 };
 
 // Renders one event as a compact JSON object (no trailing newline).
@@ -93,9 +86,9 @@ std::string RenderEventJson(const Event& e);
 // tests pass a fixed timestamp for byte-stable output.
 std::string RenderJournalHeader(std::string_view generated_at = {});
 
-// A journal consumer. OnEvent runs on the journal's drain thread; keep it
-// quick (it is off the trial workers' path, but a slow sink delays every
-// other sink and the Flush() at campaign end).
+// A journal consumer. OnEvent runs on the emitting thread (a trial worker
+// for trial events) under the journal's lock, so sinks need no locking of
+// their own; keep it quick, since every emitter waits for it.
 class EventSink {
  public:
   virtual ~EventSink() = default;
@@ -104,55 +97,34 @@ class EventSink {
 
 class EventJournal {
  public:
-  // `capacity` bounds the in-flight event queue. When an Emit finds it full
-  // (a slow sink fell behind), the OLDEST queued event is dropped and
-  // counted — emitters never block, so telemetry can never stall trials.
-  explicit EventJournal(std::size_t capacity = 4096);
-  ~EventJournal();  // drains outstanding events, stops the writer thread
+  EventJournal() = default;
   EventJournal(const EventJournal&) = delete;
   EventJournal& operator=(const EventJournal&) = delete;
 
   // Sinks may be added/removed between campaigns (RunSuite reuses one
-  // journal; each campaign attaches its own progress sink). Thread-safe.
-  // RemoveSink additionally waits out any in-flight delivery, so the sink
-  // may be destroyed the moment it returns.
+  // journal; each campaign attaches its own progress sink). Thread-safe; a
+  // removed sink receives nothing further and may be destroyed at once.
   void AddSink(EventSink* sink);
   void RemoveSink(EventSink* sink);
 
-  // Stamps e.ts_us and enqueues, dropping the oldest queued event when the
-  // queue is full. Callable from any thread; never performs I/O and never
-  // blocks on the calling thread.
+  // Stamps e.ts_us and hands the event to every sink before returning.
+  // Callable from any thread; concurrent emitters take turns.
   void Emit(Event e);
 
-  // Blocks until the queue has drained and no sink delivery is in flight —
-  // every surviving (non-dropped) event emitted so far has reached all
-  // sinks. RunCampaign flushes before returning so the journal (and the
-  // progress summary) is complete when the caller resumes.
-  void Flush();
-
-  // Monotonic microseconds since journal creation (the ts_us clock).
-  std::uint64_t NowUs() const;
+  // No-op kept for tfbench/pass.cpp: Emit delivers before it returns.
+  void Flush() {}
+  // Always 0, kept for tfbench/pass.cpp: the journal drops no event.
+  std::uint64_t dropped() const { return 0; }
 
   std::uint64_t emitted() const;
-  // Events shed by the drop-oldest overflow policy since construction.
-  std::uint64_t dropped() const;
 
  private:
-  void DrainLoop();
-
-  const std::size_t capacity_;
-  const std::chrono::steady_clock::time_point epoch_;
+  const std::chrono::steady_clock::time_point epoch_ =
+      std::chrono::steady_clock::now();
 
   mutable std::mutex mu_;
-  std::condition_variable not_empty_;
-  std::condition_variable drained_;
-  std::deque<Event> queue_;
   std::vector<EventSink*> sinks_;
   std::uint64_t emitted_ = 0;
-  std::uint64_t dropped_ = 0;
-  bool in_flight_ = false;  // drain thread is inside sink OnEvent calls
-  bool stop_ = false;
-  std::thread drain_;
 };
 
 // Writes the journal to a stream as JSONL: header line at construction,
@@ -203,11 +175,10 @@ class ProgressSink : public EventSink {
 // The chrome trace's campaign lane (ChromeTraceWriter::kPidCampaign), drawn
 // from the journal: one span per kTrialDone on its worker's row, starting at
 // ts_us - dur_us on the journal clock, and one instant marker per retry or
-// quarantine. Cached trials emit no kTrialDone and get no span; events shed
-// to backpressure are missing here too. The writer is not
-// thread-safe and the golden run fills the pipeline lane from the campaign
-// thread, so the sink writes nothing before kGoldenDone, which is emitted
-// once golden recording is over.
+// quarantine. Cached trials emit no kTrialDone and get no span. The writer
+// is not thread-safe; the golden run fills the pipeline lane from the
+// campaign thread before any trial event exists, and the journal lock
+// serialises the trial workers' deliveries.
 class ChromeLaneSink : public EventSink {
  public:
   // Names both lanes; call before golden recording starts.
@@ -216,7 +187,6 @@ class ChromeLaneSink : public EventSink {
 
  private:
   ChromeTraceWriter& chrome_;
-  bool live_ = false;   // kGoldenDone seen
   std::set<int> named_;  // worker rows that have a thread name
 };
 

@@ -18,7 +18,9 @@ namespace tfsim::obs {
 // implicit, unstamped PR 1 format.)
 // Version 3: campaign_finish loses its `interrupted` field, and the
 // checkpoint_flush, cancel_requested and checkpoint_disabled events are gone.
-inline constexpr int kObsSchemaVersion = 3;
+// Version 4: campaign_finish loses its dropped-event count (the journal
+// delivers synchronously and drops nothing).
+inline constexpr int kObsSchemaVersion = 4;
 
 // `tp` as an RFC3339 UTC timestamp: "2026-08-08T12:34:56Z".
 std::string Rfc3339Utc(std::chrono::system_clock::time_point tp);

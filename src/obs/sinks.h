@@ -4,8 +4,6 @@
 // golden.h) don't pull the full obs implementation in.
 #pragma once
 
-#include <cstdint>
-
 namespace tfsim::obs {
 
 class MetricsRegistry;
@@ -18,9 +16,6 @@ class EventJournal;
 struct ObsSinks {
   MetricsRegistry* metrics = nullptr;
   ChromeTraceWriter* chrome = nullptr;
-  // Emit one chrome counter sample every this many cycles (occupancy tracks
-  // are dense; sampling keeps trace files viewable).
-  std::uint64_t chrome_sample_every = 64;
 
   bool Any() const { return metrics || chrome; }
 };

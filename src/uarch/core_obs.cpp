@@ -9,6 +9,14 @@
 
 namespace tfsim {
 
+namespace {
+
+// One chrome occupancy sample every this many cycles: the tracks are dense,
+// and sampling keeps trace files viewable.
+constexpr std::uint64_t kChromeSampleEvery = 64;
+
+}  // namespace
+
 void Core::AttachObs(const obs::ObsSinks* obs) {
   obs_ = obs && obs->Any() ? obs : nullptr;
   h_fq_ = h_sched_ = h_rob_ = h_lq_ = h_sq_ = h_mshr_ = h_inflight_ = nullptr;
@@ -65,7 +73,7 @@ void Core::ObsSample() {
     h_mshr_->Add(mshr);
     h_inflight_->Add(InFlight());
   }
-  if (obs_->chrome && stats_.cycles % obs_->chrome_sample_every == 0) {
+  if (obs_->chrome && stats_.cycles % kChromeSampleEvery == 0) {
     obs_->chrome->CounterEvent(
         "occupancy", obs::ChromeTraceWriter::kPidPipeline, stats_.cycles,
         {{"fetchq", static_cast<double>(fq)},

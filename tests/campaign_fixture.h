@@ -85,7 +85,7 @@ using TrialDonePayload =
     std::tuple<std::int64_t, Outcome, FailureMode, StateCat, Storage,
                std::string, std::uint64_t, std::uint32_t>;
 
-// Collects kTrialDone payloads on the journal's drain thread.
+// Collects kTrialDone payloads on the emitting trial workers.
 class TrialDoneSink : public obs::EventSink {
  public:
   void OnEvent(const obs::Event& e) override {
@@ -94,7 +94,7 @@ class TrialDoneSink : public obs::EventSink {
     payloads_.emplace_back(e.trial, e.outcome, e.mode, e.cat, e.storage,
                            e.field, e.field_bits, e.cycles);
   }
-  // Sorted by trial index; call after RunCampaign returned (it flushes).
+  // Sorted by trial index; call after RunCampaign returned.
   std::vector<TrialDonePayload> Sorted() const {
     std::lock_guard<std::mutex> lock(mu_);
     std::vector<TrialDonePayload> out = payloads_;

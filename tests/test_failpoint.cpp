@@ -5,12 +5,12 @@
 // of test_paths.cpp arm every seam at once on each execution path.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "campaign_fixture.h"
 #include "inject/cache.h"
@@ -182,48 +182,46 @@ TEST(Failpoint, JsonlSinkDisablesItselfOnWriteFailure) {
   EXPECT_EQ(os.str(), after_first);  // nothing further written
 }
 
-TEST(EventJournal, OverflowDropsOldestAndCounts) {
-  // A deliberately slow sink behind a tiny queue: Emit never blocks, the
-  // oldest events are shed, and the loss is counted.
+TEST(EventJournal, ConcurrentEmittersReachEverySinkOnceInTsOrder) {
+  // Four emitters against a sink that takes ~20us per event, far slower
+  // than they emit: the emitters wait for it, and every event still reaches
+  // it exactly once, in ts_us order.
   struct SlowSink : obs::EventSink {
-    std::atomic<int> seen{0};
-    void OnEvent(const obs::Event&) override {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      ++seen;
+    std::vector<obs::Event> seen;
+    void OnEvent(const obs::Event& e) override {
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+      seen.push_back(e);
     }
   } sink;
-  obs::EventJournal journal(/*capacity=*/8);
+  obs::EventJournal journal;
   journal.AddSink(&sink);
-  constexpr int kEmits = 200;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kEmits; ++i) {
-    obs::Event e;
-    e.kind = obs::EventKind::kTrialDone;
-    e.trial = i;
-    journal.Emit(std::move(e));
-  }
-  const auto emit_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-  // Emitting 200 events against a ~400ms-per-200 sink finished without
-  // blocking on the sink (generous bound: well under the drain time).
-  EXPECT_LT(emit_ms, 200);
-  journal.Flush();
+  constexpr int kThreads = 4;
+  constexpr int kEmits = 2000;
+  std::vector<std::thread> emitters;
+  for (int t = 0; t < kThreads; ++t)
+    emitters.emplace_back([&journal, t] {
+      for (int i = 0; i < kEmits; ++i)
+        journal.Emit(
+            {.kind = obs::EventKind::kTrialDone, .trial = i, .worker = t});
+    });
+  for (std::thread& th : emitters) th.join();
   journal.RemoveSink(&sink);
-  EXPECT_EQ(journal.emitted(), static_cast<std::uint64_t>(kEmits));
-  EXPECT_GT(journal.dropped(), 0u);
-  EXPECT_EQ(static_cast<std::uint64_t>(sink.seen.load()) + journal.dropped(),
-            static_cast<std::uint64_t>(kEmits));
-}
 
-TEST(EventJournal, CampaignFinishFooterCarriesDropCount) {
-  // The campaign_finish event self-reports the run's telemetry loss.
-  obs::Event e;
-  e.kind = obs::EventKind::kCampaignFinish;
-  e.value = 42;
-  e.dropped = 7;
-  const std::string json = obs::RenderEventJson(e);
-  EXPECT_NE(json.find("\"events_dropped\":7"), std::string::npos);
+  EXPECT_EQ(journal.emitted(), std::uint64_t{kThreads * kEmits});
+  ASSERT_EQ(sink.seen.size(), std::size_t{kThreads * kEmits});
+  std::vector<int> arrivals(kThreads * kEmits, 0);
+  for (std::size_t k = 0; k < sink.seen.size(); ++k) {
+    const obs::Event& e = sink.seen[k];
+    ASSERT_TRUE(e.worker >= 0 && e.worker < kThreads);
+    ASSERT_TRUE(e.trial >= 0 && e.trial < kEmits);
+    ++arrivals[static_cast<std::size_t>(e.worker * kEmits + e.trial)];
+    if (k > 0) {
+      EXPECT_LE(sink.seen[k - 1].ts_us, e.ts_us) << "at " << k;
+    }
+  }
+  for (std::size_t k = 0; k < arrivals.size(); ++k)
+    EXPECT_EQ(arrivals[k], 1) << "thread " << k / kEmits << " emit "
+                              << k % kEmits;
 }
 
 }  // namespace
