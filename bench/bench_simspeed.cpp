@@ -184,12 +184,13 @@ void BM_CampaignTrialsSlow(benchmark::State& state) {
 }
 BENCHMARK(BM_CampaignTrialsSlow)->Unit(benchmark::kMillisecond);
 
-// Whole-campaign trials/sec at 1 vs N trial-loop workers (the engine behind
-// `tfi campaign --jobs`). Each iteration re-records the golden run, so the
-// items/sec figure understates pure trial throughput equally at every jobs
-// value; the 1-vs-N ratio is the parallel speedup. The results cache is
-// bypassed so the pool actually executes.
-void BM_CampaignTrials(benchmark::State& state) {
+// Trial-loop throughput of a whole campaign at 1 vs N workers (the engine
+// behind `tfi campaign --jobs`). Each iteration runs a 64-trial campaign on
+// a short golden run, with the results cache bypassed so the pool actually
+// executes, but is timed by the campaign's own `campaign.trial_loop` timer:
+// the serial golden recording is left out. So items/s is trial throughput,
+// and the 1-vs-N ratio is the pool's parallel scaling.
+void RunTrialLoopBench(benchmark::State& state, CampaignOptions opt) {
   CampaignSpec spec;
   spec.workload = "gzip";
   spec.trials = 64;
@@ -198,57 +199,52 @@ void BM_CampaignTrials(benchmark::State& state) {
   spec.golden.spacing = 500;
   spec.golden.window = 4000;
   spec.golden.slack = 1000;
-  CampaignOptions opt;
+  obs::MetricsRegistry metrics;
   opt.jobs = static_cast<int>(state.range(0));
   opt.verbose = false;
   opt.use_cache = false;
-  for (auto _ : state) benchmark::DoNotOptimize(RunCampaign(spec, opt));
+  opt.obs.sinks.metrics = &metrics;
+  const obs::Timer& loop = metrics.GetTimer("campaign.trial_loop");
+  for (auto _ : state) {
+    const std::uint64_t before_ns = loop.total_ns();
+    benchmark::DoNotOptimize(RunCampaign(spec, opt));
+    state.SetIterationTime(
+        static_cast<double>(loop.total_ns() - before_ns) * 1e-9);
+  }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           spec.trials);
+}
+
+void BM_CampaignTrials(benchmark::State& state) {
+  RunTrialLoopBench(state, {});
 }
 BENCHMARK(BM_CampaignTrials)
     ->Arg(1)
     ->Arg(4)
     ->Arg(0)  // 0 = one worker per hardware thread
-    ->UseRealTime()
+    ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-// The same campaign with every telemetry feature on — event journal with a
-// JSONL sink to the null device and a metrics registry. The ratio to
-// BM_CampaignTrials at the same arg is the telemetry overhead; the budget
-// is <3%.
+// The same campaign with the event journal on, feeding a JSONL sink that
+// writes to the null device. The ratio to BM_CampaignTrials at the same arg
+// is the journal's cost on the trial loop; the budget is <3%.
 void BM_CampaignTrialsTelemetry(benchmark::State& state) {
-  CampaignSpec spec;
-  spec.workload = "gzip";
-  spec.trials = 64;
-  spec.golden.warmup = 12000;
-  spec.golden.points = 3;
-  spec.golden.spacing = 500;
-  spec.golden.window = 4000;
-  spec.golden.slack = 1000;
   // One journal for the whole benchmark (as in suite mode); the loop
   // measures the marginal per-campaign cost of telemetry.
   std::ofstream null_out("/dev/null");
   obs::EventJournal journal;
   obs::JsonlEventSink sink(null_out);
   journal.AddSink(&sink);
-  obs::MetricsRegistry metrics;
   CampaignOptions opt;
-  opt.jobs = static_cast<int>(state.range(0));
-  opt.verbose = false;
-  opt.use_cache = false;
   opt.obs.events = &journal;
-  opt.obs.sinks.metrics = &metrics;
-  for (auto _ : state) benchmark::DoNotOptimize(RunCampaign(spec, opt));
+  RunTrialLoopBench(state, opt);
   journal.RemoveSink(&sink);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          spec.trials);
 }
 BENCHMARK(BM_CampaignTrialsTelemetry)
     ->Arg(1)
     ->Arg(4)
     ->Arg(0)
-    ->UseRealTime()
+    ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

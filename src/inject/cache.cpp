@@ -1,18 +1,15 @@
 #include "inject/cache.h"
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <limits>
 #include <sstream>
-#include <thread>
 
 #include "obs/metrics.h"
 #include "util/checksum.h"
 #include "util/env.h"
-#include "util/failpoint.h"
 #include "util/fs.h"
 
 namespace tfsim {
@@ -111,10 +108,6 @@ std::optional<std::string> ReadChecksummed(std::istream& in) {
   return payload;
 }
 
-// Cache stores retry transient failures with bounded backoff.
-constexpr int kStoreAttempts = 3;
-constexpr std::uint64_t kStoreBackoffUs = 1000;  // 1ms, then 4ms
-
 std::filesystem::path CachePath(const CampaignSpec& spec) {
   return std::filesystem::path(CacheDir()) / (spec.CacheKey() + ".txt");
 }
@@ -126,10 +119,6 @@ std::string CacheDir() {
 }
 
 std::optional<CampaignResult> LoadCachedCampaign(const CampaignSpec& spec) {
-  // A firing load failpoint is indistinguishable from an absent/corrupt
-  // cache file: the campaign re-runs cleanly (the graceful-degradation path
-  // chaos tests pin).
-  if (fail::FailHere("cache.load")) return std::nullopt;
   std::ifstream in(CachePath(spec), std::ios::binary);
   if (!in) return std::nullopt;
 
@@ -149,37 +138,23 @@ std::optional<CampaignResult> LoadCachedCampaign(const CampaignSpec& spec) {
 }
 
 // Best-effort atomic store: ensures the directory, writes temp + rename,
-// and surfaces final failure via stderr and the store_failures counter
-// instead of silently dropping hours of results. The `cache.store` chaos
-// site is evaluated once per attempt (so a one-in-2 policy fails the first
-// attempt and lets the retry succeed).
+// and surfaces a failure once, on stderr and in the store_failures counter,
+// instead of silently dropping the results. Nothing retries: a failed store
+// only means the next run recomputes the campaign.
 bool StoreCachedCampaign(const CampaignResult& result,
                          obs::MetricsRegistry* metrics) {
   const std::filesystem::path path = CachePath(result.spec);
-  const std::string data = WrapChecksummed(SerializeResultPayload(result));
   std::string error;
-  for (int attempt = 0; attempt < kStoreAttempts; ++attempt) {
-    if (attempt > 0)
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          kStoreBackoffUs << (2 * (attempt - 1))));
-    error.clear();
-    // The directory may have been removed between attempts (or never
-    // existed); re-ensure it inside the retry loop.
-    std::error_code ec;
-    std::filesystem::create_directories(path.parent_path(), ec);
-    if (ec) {
-      error = "cannot create " + path.parent_path().string() + ": " +
-              ec.message();
-      continue;
-    }
-    if (fail::FailHere("cache.store")) {
-      error = "failpoint: cache.store";
-      continue;
-    }
-    if (AtomicWriteFile(path, data, &error)) return true;
-  }
-  std::fprintf(stderr, "[cache] store failed after %d attempts: %s\n",
-               kStoreAttempts, error.c_str());
+  std::error_code ec;
+  std::filesystem::create_directories(path.parent_path(), ec);
+  if (ec)
+    error = "cannot create " + path.parent_path().string() + ": " +
+            ec.message();
+  else if (AtomicWriteFile(path,
+                           WrapChecksummed(SerializeResultPayload(result)),
+                           &error))
+    return true;
+  std::fprintf(stderr, "[cache] store failed: %s\n", error.c_str());
   if (metrics) metrics->GetCounter("campaign.cache.store_failures").Inc();
   return false;
 }

@@ -25,11 +25,10 @@ std::string CacheDir();
 
 std::optional<CampaignResult> LoadCachedCampaign(const CampaignSpec& spec);
 
-// Stores `result` in the cache (best-effort). Transient failures retry with
-// bounded backoff (3 attempts); on final failure — unwritable cache
-// directory, failed atomic rename — returns false, warns on stderr, and
-// increments `campaign.cache.store_failures` when `metrics` is non-null.
-// Chaos sites: `cache.store` per attempt, `fs.atomic_write` underneath.
+// Stores `result` in the cache (best-effort, one attempt). On failure —
+// unwritable cache directory, failed atomic rename — returns false, warns
+// once on stderr, and increments `campaign.cache.store_failures` when
+// `metrics` is non-null. The entry is simply recomputed by the next run.
 bool StoreCachedCampaign(const CampaignResult& result,
                          obs::MetricsRegistry* metrics = nullptr);
 

@@ -316,12 +316,6 @@ std::vector<CompletedTrial> Execute(
   TrialPolicy policy;
   policy.fast_path = p.fast;
   policy.check_invariants = c.checked;
-  TrialRunner::Hooks hooks;
-  hooks.before_attempt = c.opt.trial_fault_hook;
-  hooks.on_retry = [&c](std::size_t i, int attempt, const std::string& error) {
-    c.Emit(obs::EventKind::kTrialRetry, static_cast<std::uint64_t>(attempt),
-           static_cast<std::int64_t>(i), error);
-  };
   std::atomic<std::size_t> next{0};
   auto work = [&](int worker) {
     TrialRunner runner(golden, policy);
@@ -329,7 +323,10 @@ std::vector<CompletedTrial> Execute(
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
       const auto t0 = std::chrono::steady_clock::now();
-      TrialRunner::Result res = runner.Run(p.specs[i], c.tracing, &hooks, i);
+      std::function<void()> fault_hook;
+      if (c.opt.trial_fault_hook)
+        fault_hook = [&hook = c.opt.trial_fault_hook, i] { hook(i); };
+      TrialRunner::Result res = runner.Run(p.specs[i], c.tracing, fault_hook);
       CompletedTrial t;
       t.index = i;
       t.record = res.record;

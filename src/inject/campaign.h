@@ -52,7 +52,7 @@ struct CampaignObs {
   bool progress = false;
   // Structured campaign event journal (obs/events.h). When non-null, the
   // campaign emits start/finish, golden-done, cache, per-trial-completion
-  // and retry/quarantine events into it; tfi
+  // and quarantine events into it; tfi
   // wires its file sink (--events-jsonl) to the journal. Emission never
   // blocks trial workers on I/O, and — like every other member here —
   // attaching a journal leaves trial records, classification counts and
@@ -97,9 +97,9 @@ struct CampaignOptions {
   // report check.violations.* counter totals when metrics are attached.
   bool check_invariants = false;
   // Test instrumentation: invoked (from worker threads; must be
-  // thread-safe) with the trial index before each execution attempt. An
-  // exception thrown here takes exactly the quarantine path a throwing
-  // trial would. Never set in production runs.
+  // thread-safe) with the trial index before the trial runs. An exception
+  // thrown here takes exactly the quarantine path a throwing trial would.
+  // Never set in production runs.
   std::function<void(std::size_t)> trial_fault_hook;
   // Observability sinks and per-trial propagation tracing.
   CampaignObs obs;
@@ -109,7 +109,7 @@ struct CampaignOptions {
 // (trials[index]) carries Outcome::kTrialError; the message is diagnostic
 // only and is not persisted in the cache.
 enum class QuarantineReason : std::uint8_t {
-  kException,  // both attempts threw, or the trial violated an invariant
+  kException,  // the trial threw, or it violated an invariant
 };
 struct QuarantinedTrial {
   std::uint64_t index = 0;
@@ -120,8 +120,8 @@ struct QuarantinedTrial {
 struct CampaignResult {
   CampaignSpec spec;
   std::vector<TrialRecord> trials;
-  // Trials whose execution threw on both attempts (or, in checked runs,
-  // broke an invariant), in trial-index order. Parallel to the kTrialError
+  // Trials whose execution threw (or, in checked runs, broke an
+  // invariant), in trial-index order. Parallel to the kTrialError
   // records in `trials`; counted by the campaign.trials.quarantined metric.
   // A result with quarantined trials is never cached: a quarantine is a
   // hole in the sample, and a cached hole would outlive its cause.

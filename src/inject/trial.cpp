@@ -57,9 +57,14 @@ Outcome OutcomeOf(FailureMode m) {
   }
 }
 
-// Execution attempts per trial: one retry absorbs a transient host-level
-// failure (resource exhaustion) without masking a deterministic trial bug.
-constexpr int kTrialAttempts = 2;
+// A quarantined trial: the kTrialError stand-in record and why.
+TrialRunner::Result Quarantined(std::string error) {
+  TrialRunner::Result res;
+  res.record.outcome = Outcome::kTrialError;
+  res.quarantined = true;
+  res.error = std::move(error);
+  return res;
+}
 
 // Restores `core` to the state just before the injection cycle: from a
 // delta snapshot when `point` is set (fast path), otherwise by replaying
@@ -143,33 +148,15 @@ TrialRunner::TrialRunner(std::shared_ptr<const GoldenRun> golden,
 }
 
 TrialRunner::Result TrialRunner::Run(const TrialSpec& spec, bool want_trace,
-                                     const Hooks* hooks, std::size_t trial) {
+                                     const std::function<void()>& fault_hook) {
   Result res;
-  bool ok = false;
-  for (int attempt = 1; attempt <= kTrialAttempts && !ok; ++attempt) {
-    try {
-      if (hooks != nullptr && hooks->before_attempt)
-        hooks->before_attempt(trial);
-      obs::PropagationTrace attempt_trace;
-      bool fast = false;
-      res.record =
-          RunOnce(spec, want_trace ? &attempt_trace : nullptr, &fast);
-      res.trace = std::move(attempt_trace);
-      res.fast = fast;
-      ok = true;
-    } catch (const std::exception& e) {
-      res.error = e.what();
-    } catch (...) {
-      res.error = "unknown error";
-    }
-    if (!ok && hooks != nullptr && hooks->on_retry)
-      hooks->on_retry(trial, attempt, res.error);
-  }
-  if (!ok) {
-    res.record = TrialRecord{};
-    res.record.outcome = Outcome::kTrialError;
-    res.quarantined = true;
-    return res;
+  try {
+    if (fault_hook) fault_hook();
+    res.record = RunOnce(spec, want_trace ? &res.trace : nullptr, &res.fast);
+  } catch (const std::exception& e) {
+    return Quarantined(e.what());
+  } catch (...) {
+    return Quarantined("unknown error");
   }
   // Checked runs: a structurally inconsistent machine quarantines the trial
   // even when classification succeeded — its record must not pollute the

@@ -77,9 +77,9 @@ FastPathPlan PlanFastPath(const GoldenSpec& spec,
 // Runs fault-injection trials against one golden run on a privately owned
 // core replica (campaign workers hold one runner each; the golden run is
 // shared read-only). Classification depends only on the golden run and the
-// TrialSpec — never on fast_path, on how many attempts a trial took, or on
-// how many trials ran before. A traced trial that simulates also steps a
-// second, fault-free replica in lockstep to see which categories diverge.
+// TrialSpec — never on fast_path or on how many trials ran before. A traced
+// trial that simulates also steps a second, fault-free replica in lockstep
+// to see which categories diverge.
 class TrialRunner {
  public:
   explicit TrialRunner(std::shared_ptr<const GoldenRun> golden,
@@ -92,28 +92,18 @@ class TrialRunner {
     obs::PropagationTrace trace;
     bool fast = false;        // classified from first-access data, no sim
     bool quarantined = false; // record is the kTrialError stand-in
-    std::string error;        // last failure message when quarantined
+    std::string error;        // failure message when quarantined
   };
 
-  // Host instrumentation around the retry loop (campaign telemetry/tests),
-  // called with the trial index passed to Run().
-  struct Hooks {
-    // Before each execution attempt; a throw takes the same retry/quarantine
-    // path as a throwing trial.
-    std::function<void(std::size_t trial)> before_attempt;
-    // After each failed attempt, with its 1-based number.
-    std::function<void(std::size_t trial, int attempt,
-                       const std::string& error)>
-        on_retry;
-  };
-
-  // Runs one trial: a throwing attempt is retried once, and a trial whose
-  // two attempts both threw is quarantined.
-  // Under check_invariants, a structurally inconsistent machine also
-  // quarantines (the violating attempt's trace is kept; the checker state
-  // stays readable via core() until the next Run).
+  // Runs one trial, once. A trial that throws is quarantined: its record
+  // is the kTrialError stand-in and `error` holds the message. A thrown
+  // trial would throw again (every throw site is deterministic), so there
+  // is no retry. `fault_hook`, when set, runs first and may throw to stand
+  // for such a failure (tests). Under check_invariants, a structurally
+  // inconsistent machine also quarantines (its trace is kept; the checker
+  // state stays readable via core() until the next Run).
   Result Run(const TrialSpec& spec, bool want_trace = false,
-             const Hooks* hooks = nullptr, std::size_t trial = 0);
+             const std::function<void()>& fault_hook = {});
 
   // The owned replica: registry layout for site introspection, and the
   // invariant checker's verdicts after a checked Run(). Mutated by Run().

@@ -37,10 +37,12 @@ struct Program {
   struct Chunk {
     std::uint64_t addr = 0;
     std::vector<std::uint8_t> bytes;
+    bool operator==(const Chunk&) const = default;
   };
   std::vector<Chunk> chunks;
   std::uint64_t entry = 0;
   std::map<std::string, std::uint64_t> symbols;
+  bool operator==(const Program&) const = default;
 };
 
 // Assembles source text. Throws std::runtime_error with a line-numbered

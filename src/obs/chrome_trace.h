@@ -40,8 +40,8 @@ class ChromeTraceWriter {
                      std::uint64_t ts_us, std::uint64_t dur_us,
                      const Args& args = {});
 
-  // "I" instant event (campaign milestones: trial retries and
-  // quarantines). Args land in the detail pane.
+  // "I" instant event (campaign milestones: trial quarantines). Args land
+  // in the detail pane.
   void InstantEvent(const std::string& name, int pid, std::uint64_t ts_us,
                     const Args& args = {});
 

@@ -7,7 +7,6 @@
 #include "obs/chrome_trace.h"
 #include "obs/export_meta.h"
 #include "obs/json_writer.h"
-#include "util/failpoint.h"
 
 namespace tfsim::obs {
 
@@ -16,15 +15,6 @@ namespace {
 const char* StorageName(Storage s) {
   return s == Storage::kLatch ? "latch" : s == Storage::kRam ? "ram"
                                                              : "background";
-}
-
-// Campaign-lane instant marker for an event kind; nullptr = none.
-const char* MarkerName(EventKind k) {
-  switch (k) {
-    case EventKind::kTrialRetry: return "trial retry";
-    case EventKind::kTrialQuarantine: return "trial quarantined";
-    default: return nullptr;
-  }
 }
 
 }  // namespace
@@ -36,7 +26,6 @@ const char* EventKindName(EventKind k) {
     case EventKind::kCacheHit: return "cache_hit";
     case EventKind::kCacheStore: return "cache_store";
     case EventKind::kTrialDone: return "trial_done";
-    case EventKind::kTrialRetry: return "trial_retry";
     case EventKind::kTrialQuarantine: return "trial_quarantine";
     case EventKind::kCampaignFinish: return "campaign_finish";
   }
@@ -76,10 +65,6 @@ std::string RenderEventJson(const Event& e) {
         w.Field("arch_divergence_cycle", e.arch_divergence_cycle);
       if (e.first_spread_cycle != Event::kNotTraced)
         w.Field("first_spread_cycle", e.first_spread_cycle);
-      break;
-    case EventKind::kTrialRetry:
-      w.Field("attempt", e.value);
-      w.Field("error", e.detail);
       break;
     case EventKind::kTrialQuarantine:
       w.Field("error", e.detail);
@@ -145,9 +130,6 @@ JsonlEventSink::JsonlEventSink(std::ostream& os, std::string_view generated_at)
 
 void JsonlEventSink::OnEvent(const Event& e) {
   if (disabled_) return;
-  // Chaos site: a firing events.jsonl.write is exactly a disk-level stream
-  // failure (the failbit a full disk or yanked volume would raise).
-  if (fail::FailHere("events.jsonl.write")) os_.setstate(std::ios::failbit);
   os_ << RenderEventJson(e) << '\n';
   // Keep the on-disk journal a complete prefix at every campaign boundary.
   if (e.kind == EventKind::kCampaignFinish) os_.flush();
@@ -267,9 +249,8 @@ void ChromeLaneSink::OnEvent(const Event& e) {
                            {"cycles", std::to_string(e.cycles)}});
     return;
   }
-  const char* marker = MarkerName(e.kind);
-  if (marker == nullptr) return;
-  chrome_.InstantEvent(marker, kPid, e.ts_us,
+  if (e.kind != EventKind::kTrialQuarantine) return;
+  chrome_.InstantEvent("trial quarantined", kPid, e.ts_us,
                        {{"trial", std::to_string(e.trial)},
                         {"error", e.detail}});
 }

@@ -1,6 +1,6 @@
 // Structured campaign event journal: every campaign-level happening
 // (start/finish, golden recorded, cache hit/store, per-trial completion with
-// outcome and wall time, retry/quarantine) becomes one typed Event, delivered
+// outcome and wall time, quarantine) becomes one typed Event, delivered
 // by Emit() to every attached EventSink on the emitting thread, under the
 // journal's one mutex. Nothing is queued and nothing is dropped: the stream
 // is lossless and monotone in ts_us (stamped under the same mutex). A slow
@@ -14,7 +14,7 @@
 //   * ProgressSink   — the `--progress` stderr lines (monotonic trials/sec,
 //     ETA, final summary line).
 //   * ChromeLaneSink — the campaign lane of a chrome trace: trial spans and
-//     instant markers for retries and quarantines.
+//     an instant marker per quarantine.
 //
 // Determinism: the journal is pure telemetry. Campaign trial records,
 // classification counts and cache keys are byte-identical with the journal
@@ -43,11 +43,10 @@ enum class EventKind : std::uint8_t {
   kCacheHit,          // results loaded from the on-disk cache; value=trials
   kCacheStore,        // completed results stored; value=trials
   kTrialDone,         // one trial classified; full injection-site payload
-  kTrialRetry,        // an execution attempt threw; value=attempt, detail=why
-  kTrialQuarantine,   // all attempts failed (or an invariant tripped)
+  kTrialQuarantine,   // the trial threw (or an invariant tripped); detail=why
   kCampaignFinish,    // value=trials kept (the journal footer)
 };
-inline constexpr int kNumEventKinds = 8;
+inline constexpr int kNumEventKinds = 7;
 const char* EventKindName(EventKind k);
 
 struct Event {
@@ -130,10 +129,10 @@ class EventJournal {
 // Writes the journal to a stream as JSONL: header line at construction,
 // then one line per event. The stream must outlive the sink; the sink
 // flushes the stream on campaign finish so a killed process leaves a journal
-// that is complete up to its last finished campaign. A stream write failure (disk full, yanked
-// volume, `events.jsonl.write` failpoint) disables the sink for the rest of
-// the run with a single stderr warning — the campaign continues without its
-// journal file rather than wedging or spamming.
+// that is complete up to its last finished campaign. A stream write failure
+// (disk full, yanked volume) disables the sink for the rest of the run with
+// a single stderr warning — the campaign continues without its journal file
+// rather than wedging or spamming.
 class JsonlEventSink : public EventSink {
  public:
   explicit JsonlEventSink(std::ostream& os, std::string_view generated_at = {});
@@ -174,7 +173,7 @@ class ProgressSink : public EventSink {
 
 // The chrome trace's campaign lane (ChromeTraceWriter::kPidCampaign), drawn
 // from the journal: one span per kTrialDone on its worker's row, starting at
-// ts_us - dur_us on the journal clock, and one instant marker per retry or
+// ts_us - dur_us on the journal clock, and one instant marker per
 // quarantine. Cached trials emit no kTrialDone and get no span. The writer
 // is not thread-safe; the golden run fills the pipeline lane from the
 // campaign thread before any trial event exists, and the journal lock

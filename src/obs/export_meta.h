@@ -19,7 +19,8 @@ namespace tfsim::obs {
 // Version 3: campaign_finish loses its `interrupted` field, and the
 // checkpoint_flush, cancel_requested and checkpoint_disabled events are gone.
 // Version 4: campaign_finish loses its dropped-event count (the journal
-// delivers synchronously and drops nothing).
+// delivers synchronously and drops nothing). The trial_retry event went
+// later under the same version: no remaining event renders differently.
 inline constexpr int kObsSchemaVersion = 4;
 
 // `tp` as an RFC3339 UTC timestamp: "2026-08-08T12:34:56Z".

@@ -3,12 +3,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "arch/functional_sim.h"
 #include "inject/cache.h"
-#include "util/rng.h"
 #include "soft/harden.h"
+#include "util/fs.h"
+#include "util/rng.h"
 #include "workloads/workloads.h"
 
 namespace tfsim {
@@ -71,6 +73,26 @@ Reference RunReference(const Program& program, std::uint64_t max_insns) {
   return ref;
 }
 
+// The fault-free reference of `program`, memoized per thread for the last
+// program seen. The key is the whole program, compared exactly: programs
+// are rebuilt at the same address from campaign to campaign, and two
+// builds that differ in one byte (a workload at two iteration counts) must
+// never share a reference. The old reference is freed before the new one
+// is recorded, so a thread holds one at a time.
+const Reference& ReferenceFor(const Program& program) {
+  static thread_local struct {
+    std::optional<Program> program;
+    Reference ref;
+  } memo;
+  if (!memo.program || *memo.program != program) {
+    memo.program.reset();
+    memo.ref = Reference{};
+    memo.ref = RunReference(program, 1ULL << 40);
+    memo.program = program;
+  }
+  return memo.ref;
+}
+
 }  // namespace
 
 const char* SoftFaultModelName(SoftFaultModel m) {
@@ -95,36 +117,10 @@ const char* SoftOutcomeName(SoftOutcome o) {
   return "?";
 }
 
-// Content fingerprint for the reference cache: a stale pointer to a
-// different program must never match (program objects are routinely
-// reconstructed at the same address across campaigns).
-static std::uint64_t Fingerprint(const Program& program) {
-  std::uint64_t h = Mix64(program.entry + 1);
-  for (const auto& chunk : program.chunks) {
-    h = Mix64(h ^ chunk.addr);
-    for (std::size_t i = 0; i < chunk.bytes.size(); i += 97)
-      h = Mix64(h ^ (static_cast<std::uint64_t>(chunk.bytes[i]) << (i % 56)));
-    h = Mix64(h ^ chunk.bytes.size());
-  }
-  return h;
-}
-
 SoftTrialResult RunSoftTrial(const Program& program, SoftFaultModel model,
                              std::uint64_t target_insn, std::uint64_t rng_seed,
                              std::uint64_t max_insns) {
-  // The fault-free reference is computed once per distinct program (keyed by
-  // content, not address) and reused across trials.
-  static thread_local struct {
-    std::uint64_t key = 0;
-    Reference ref;
-  } cache;
-  const std::uint64_t key = Fingerprint(program);
-  if (cache.key != key) {
-    cache.ref = RunReference(program, 1ULL << 40);
-    cache.key = key;
-  }
-  const Reference& ref = cache.ref;
-
+  const Reference& ref = ReferenceFor(program);
   SoftTrialResult result;
   Rng rng(rng_seed);
   FunctionalSim sim(program);
@@ -220,8 +216,11 @@ SoftCampaignResult RunSoftCampaign(const SoftCampaignSpec& spec,
   SoftCampaignResult result;
   result.spec = spec;
 
-  // On-disk cache (same directory as the pipeline campaigns).
-  std::uint64_t key = Mix64(0x50F7 + 2);
+  // On-disk cache (same directory as the pipeline campaigns). The added
+  // constant is the soft results' version: 3 since the reference memo is
+  // exact, because an entry written before could hold trials classified
+  // against another build of the workload.
+  std::uint64_t key = Mix64(0x50F7 + 3);
   for (char c : spec.workload) key = Mix64(key ^ static_cast<std::uint64_t>(c));
   key = Mix64(key ^ static_cast<std::uint64_t>(spec.model));
   key = Mix64(key ^ spec.iters);
@@ -253,7 +252,7 @@ SoftCampaignResult RunSoftCampaign(const SoftCampaignSpec& spec,
   Program program = BuildWorkload(WorkloadByName(base), spec.iters,
                                   /*emit_each_iteration=*/true);
   if (hmode) program = Harden(program, *hmode).program;
-  const Reference ref = RunReference(program, 1ULL << 40);
+  const Reference& ref = ReferenceFor(program);
   const std::uint64_t max_insns = ref.total_insns * spec.max_insn_factor;
   const std::uint64_t eligible = ref.eligible[static_cast<int>(spec.model)];
 
@@ -272,13 +271,16 @@ SoftCampaignResult RunSoftCampaign(const SoftCampaignSpec& spec,
                    t + 1, spec.trials);
   }
 
+  // Written whole or not at all: a torn entry could parse short (a last
+  // count of 10 read back as 1).
+  std::ostringstream out;
+  out << "tfi-soft v1\n" << result.trials << '\n';
+  for (auto v : result.by_outcome) out << v << ' ';
+  out << '\n' << result.state_ok_with_divergence << '\n';
   std::error_code ec;
   std::filesystem::create_directories(CacheDir(), ec);
-  if (std::ofstream out(path); out) {
-    out << "tfi-soft v1\n" << result.trials << '\n';
-    for (auto v : result.by_outcome) out << v << ' ';
-    out << '\n' << result.state_ok_with_divergence << '\n';
-  }
+  if (std::string error; !AtomicWriteFile(path, out.str(), &error))
+    std::fprintf(stderr, "[cache] store failed: %s\n", error.c_str());
   return result;
 }
 

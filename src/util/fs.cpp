@@ -4,8 +4,6 @@
 #include <fstream>
 #include <system_error>
 
-#include "util/failpoint.h"
-
 #ifndef _WIN32
 #include <unistd.h>
 #endif
@@ -36,8 +34,6 @@ bool Fail(const std::string& what, std::string* error) {
 
 bool AtomicWriteFile(const std::filesystem::path& path,
                      std::string_view contents, std::string* error) {
-  if (fail::FailHere("fs.atomic_write"))
-    return Fail("failpoint: fs.atomic_write (" + path.string() + ")", error);
   const std::filesystem::path tmp(path.string() + UniqueSuffix());
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);

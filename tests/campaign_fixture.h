@@ -1,6 +1,7 @@
 // Shared helpers for the campaign-level tests: the small gzip campaign most
 // of them run, quiet live options, a private results-cache directory, a
-// clean failpoint registry and a collector of per-trial journal payloads.
+// stream buffer that fails like a full disk and a collector of per-trial
+// journal payloads.
 #pragma once
 
 #include <algorithm>
@@ -10,13 +11,14 @@
 #include <mutex>
 #include <optional>
 #include <ostream>
+#include <streambuf>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "inject/cache.h"
 #include "inject/campaign.h"
 #include "obs/events.h"
-#include "util/failpoint.h"
 
 namespace tfsim {
 
@@ -70,12 +72,31 @@ class ScopedCacheDir {
   std::optional<std::string> previous_;
 };
 
-// Leaves the process-wide failpoint registry clean on both sides of a test.
-struct FailpointGuard {
-  FailpointGuard() { fail::Reset(); }
-  ~FailpointGuard() { fail::Reset(); }
-  FailpointGuard(const FailpointGuard&) = delete;
-  FailpointGuard& operator=(const FailpointGuard&) = delete;
+// Where `spec`'s results-cache entry lives under the current TFI_CACHE_DIR.
+inline std::string CachePath(const CampaignSpec& spec) {
+  return (std::filesystem::path(CacheDir()) / (spec.CacheKey() + ".txt"))
+      .string();
+}
+
+// An unbuffered stream buffer that accepts `budget` bytes and then fails
+// every write, as a full disk does. `offered()` counts the bytes the
+// stream tried to write, failed ones included.
+class FailingStreambuf : public std::streambuf {
+ public:
+  explicit FailingStreambuf(std::size_t budget) : budget_(budget) {}
+  std::size_t offered() const { return offered_; }
+
+ protected:
+  int_type overflow(int_type c) override {
+    ++offered_;
+    if (budget_ == 0) return traits_type::eof();
+    --budget_;
+    return traits_type::not_eof(c);
+  }
+
+ private:
+  std::size_t budget_;
+  std::size_t offered_ = 0;
 };
 
 // A kTrialDone payload minus wall time, worker and the trace-only

@@ -1,11 +1,16 @@
 // Path equivalence: how a campaign's trials are executed never changes what
 // they classify. Every cell of {slow, fast} x {jobs 1, jobs 4} x
-// {plain, durability failpoints armed} runs one spec
-// and must match a single reference run (slow path, one worker, nothing
-// persisted) in every trial record, distribution, heatmap, cache key and
-// per-trial journal payload.
+// {plain, chaos} runs one spec and must match a single reference run (slow
+// path, one worker, nothing persisted) in every trial record, distribution,
+// heatmap, cache key and per-trial journal payload. A chaos cell runs with
+// real failures at every durability seam: a directory sits at its cache
+// entry's path, so the cache load misses and the store fails, and its JSONL
+// journal writes to a stream that fails after 200 bytes.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <optional>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -17,15 +22,11 @@
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/prop_trace.h"
-#include "util/failpoint.h"
 
 namespace tfsim {
 namespace {
 
 constexpr int kTrials = 40;
-// Intermittent failure on every seam a campaign persists through.
-constexpr const char* kChaosSpec =
-    "fs.atomic_write=error@1in3;cache.load=error@1in2;cache.store=error@1in2";
 
 enum class Path { kSlow, kFast };
 enum class Mode { kPlain, kChaos };
@@ -44,25 +45,32 @@ struct Observed {
   CampaignResult result;
   std::string metrics;  // timer-less export: byte-deterministic
   std::uint64_t counted_trials = 0;
+  std::uint64_t store_failures = 0;
   std::vector<TrialDonePayload> trial_done;
 };
 
-// Runs `spec` with a metrics registry and an event journal attached.
-Observed Observe(const CampaignSpec& spec, CampaignOptions opt) {
+// Runs `spec` with a metrics registry and an event journal attached, plus
+// `extra` on the journal when it is non-null.
+Observed Observe(const CampaignSpec& spec, CampaignOptions opt,
+                 obs::EventSink* extra = nullptr) {
   obs::MetricsRegistry metrics;
   obs::EventJournal journal;
   TrialDoneSink sink;
   journal.AddSink(&sink);
+  if (extra != nullptr) journal.AddSink(extra);
   opt.obs.sinks.metrics = &metrics;
   opt.obs.events = &journal;
   Observed o;
   o.result = RunCampaign(spec, opt);
   journal.RemoveSink(&sink);
+  if (extra != nullptr) journal.RemoveSink(extra);
   o.trial_done = sink.Sorted();
   std::ostringstream os;
   metrics.WriteJson(os, /*include_timers=*/false);
   o.metrics = os.str();
   o.counted_trials = metrics.GetCounter("campaign.trials").value();
+  o.store_failures =
+      metrics.GetCounter("campaign.cache.store_failures").value();
   return o;
 }
 
@@ -105,7 +113,6 @@ TEST_P(PathEquivalence, MatchesReference) {
   ASSERT_NE(ref.metrics.find("\"campaign.trials\""), std::string::npos);
 
   ScopedCacheDir cache("tfi_paths_" + CellName(GetParam()));
-  FailpointGuard failpoints;
   const CampaignSpec spec = SmallCampaign(kTrials);
   CampaignOptions opt = QuietLive();
   opt.jobs = jobs;
@@ -114,12 +121,15 @@ TEST_P(PathEquivalence, MatchesReference) {
   // cells exercise the cache seams.
   const bool traced = mode == Mode::kPlain;
   opt.obs.collect_prop_traces = traced;
+  FailingStreambuf full_disk(200);
+  std::ostream journal_file(&full_disk);
+  std::optional<obs::JsonlEventSink> jsonl;
   if (mode == Mode::kChaos) {
-    std::string err;
-    ASSERT_TRUE(fail::ConfigureFromSpec(kChaosSpec, &err)) << err;
+    ASSERT_TRUE(std::filesystem::create_directories(CachePath(spec)));
     opt.use_cache = true;
+    jsonl.emplace(journal_file);
   }
-  const Observed got = Observe(spec, opt);
+  const Observed got = Observe(spec, opt, jsonl ? &*jsonl : nullptr);
 
   const CampaignResult& r = got.result;
   EXPECT_TRUE(r.quarantined.empty());
@@ -138,6 +148,9 @@ TEST_P(PathEquivalence, MatchesReference) {
   if (mode == Mode::kPlain) {
     EXPECT_EQ(got.metrics, ref.metrics);
     EXPECT_EQ(TraceRows(r), TraceRows(ref.result));
+  } else {
+    EXPECT_EQ(got.store_failures, 1u);
+    EXPECT_TRUE(jsonl->disabled());
   }
 }
 

@@ -3,7 +3,9 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <thread>
 
+#include "campaign_fixture.h"
 #include "soft/soft_inject.h"
 #include "workloads/workloads.h"
 
@@ -88,6 +90,32 @@ TEST(Soft, CampaignAggregatesAndCaches) {
   EXPECT_EQ(cached.by_outcome, fresh.by_outcome);
   std::filesystem::remove_all(dir);
   ::unsetenv("TFI_CACHE_DIR");
+}
+
+TEST(Soft, ReferenceMemoIsKeyedOnTheExactProgram) {
+  // gzip at 4 and at 12 iterations differ in one program byte. A campaign
+  // at 12 run after one at 4 on the same thread must classify against the
+  // 12-iteration reference, exactly as on a fresh thread.
+  SoftCampaignSpec spec;
+  spec.workload = "gzip";
+  spec.model = SoftFaultModel::kRegBit64;
+  spec.trials = 40;
+  spec.iters = 12;
+  SoftCampaignSpec shorter = spec;
+  shorter.iters = 4;
+  SoftCampaignResult fresh, after_shorter;
+  {
+    ScopedCacheDir cache("tfi_soft_memo_fresh");
+    std::thread([&] { fresh = RunSoftCampaign(spec, false); }).join();
+  }
+  {
+    ScopedCacheDir cache("tfi_soft_memo_reused");
+    RunSoftCampaign(shorter, false);
+    after_shorter = RunSoftCampaign(spec, false);
+  }
+  EXPECT_EQ(after_shorter.by_outcome, fresh.by_outcome);
+  EXPECT_EQ(after_shorter.state_ok_with_divergence,
+            fresh.state_ok_with_divergence);
 }
 
 }  // namespace

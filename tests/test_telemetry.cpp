@@ -4,7 +4,6 @@
 // itself must be a well-formed, monotone, complete event stream.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cctype>
 #include <mutex>
 #include <set>
@@ -161,20 +160,23 @@ TEST(Telemetry, RetryAndQuarantineBecomeEvents) {
   ASSERT_EQ(r.quarantined.size(), 1u);
   EXPECT_EQ(r.quarantined[0].index, 3u);
 
-  int retries = 0, quarantines = 0;
+  // The throwing trial is quarantined after its one attempt: one
+  // quarantine event with the message, and no trial-scoped event but the
+  // quarantine and one trial_done per trial.
+  int quarantines = 0, done = 0;
   for (const obs::Event& e : collect.Events()) {
-    if (e.kind == obs::EventKind::kTrialRetry) {
-      ++retries;
-      EXPECT_EQ(e.trial, 3);
-      EXPECT_EQ(e.detail, "injected host fault");
-    }
     if (e.kind == obs::EventKind::kTrialQuarantine) {
       ++quarantines;
       EXPECT_EQ(e.trial, 3);
+      EXPECT_EQ(e.detail, "injected host fault");
+    } else if (e.kind == obs::EventKind::kTrialDone) {
+      ++done;
+    } else {
+      EXPECT_EQ(e.trial, -1) << obs::EventKindName(e.kind);
     }
   }
-  EXPECT_EQ(retries, 2);  // initial attempt + one retry, both threw
   EXPECT_EQ(quarantines, 1);
+  EXPECT_EQ(done, 8);
 }
 
 TEST(Telemetry, ProgressSinkReportsRateAndFinalSummary) {
@@ -282,9 +284,9 @@ std::vector<LaneEvent> CampaignLaneEvents(const std::string& json) {
 }
 
 // The chrome campaign lane is drawn from the event journal. A campaign run
-// with a chrome writer at --jobs 2 and a retrying fault hook must show one
-// span per trial, one marker per journal retry, and a thread name on every
-// worker row it used.
+// with a chrome writer at --jobs 2 and a throwing fault hook must show one
+// span per trial, one marker per journal quarantine, and a thread name on
+// every worker row it used.
 TEST(Telemetry, ChromeLaneDerivesFromTheJournal) {
   const CampaignSpec spec = SmallCampaign(30);
   obs::ChromeTraceWriter chrome;
@@ -297,10 +299,8 @@ TEST(Telemetry, ChromeLaneDerivesFromTheJournal) {
   opt.jobs = 2;
   opt.obs.sinks.chrome = &chrome;
   opt.obs.events = &journal;
-  std::atomic<bool> thrown{false};  // the last trial fails its first attempt
-  opt.trial_fault_hook = [&](std::size_t i) {
-    if (i == 29 && !thrown.exchange(true))
-      throw std::runtime_error("transient host fault");
+  opt.trial_fault_hook = [](std::size_t i) {  // the last trial throws
+    if (i == 29) throw std::runtime_error("host fault");
   };
   const CampaignResult r = RunCampaign(spec, opt);
   journal.RemoveSink(&collect);
@@ -324,8 +324,8 @@ TEST(Telemetry, ChromeLaneDerivesFromTheJournal) {
   EXPECT_EQ(spans, 30u);
 
   for (const obs::Event& e : collect.Events())
-    if (e.kind == obs::EventKind::kTrialRetry)
-      expected.emplace_back("trial retry", std::to_string(e.ts_us));
+    if (e.kind == obs::EventKind::kTrialQuarantine)
+      expected.emplace_back("trial quarantined", std::to_string(e.ts_us));
   EXPECT_EQ(expected.size(), 1u);
   EXPECT_EQ(markers, expected);
   ASSERT_FALSE(span_rows.empty());

@@ -15,12 +15,12 @@
 //                  [--events-jsonl FILE] (structured campaign event journal)
 //                  [--heatmap-json FILE] [--heatmap-csv FILE] (per-field
 //                  vulnerability heatmap)
-//       resilience: TFI_FAILPOINTS=<spec> arms the chaos failpoints
-//                   (util/failpoint.h) for fault drills
 //
 // Exit codes: 0 success; 1 error; 2 usage error. A campaign either
 // completes (and lands in the results cache) or leaves nothing: an
-// interrupted campaign reruns from its start.
+// interrupted campaign reruns from its start. A trial that throws is
+// quarantined after its one attempt, and a result holding a quarantined
+// trial is not cached, so rerunning the campaign is the recovery.
 //   tfi soft <workload> <model> [--trials N]             Section 5 campaign
 //   tfi inventory [--protect]                            Table 1 state listing
 //       audit: [--json] [--coverage] [--check --baseline FILE]
@@ -60,7 +60,6 @@
 #include "uarch/core.h"
 #include "util/argparse.h"
 #include "util/env.h"
-#include "util/failpoint.h"
 #include "workloads/workloads.h"
 
 // Active sanitizer configuration, stamped in by CMake from TFI_SANITIZE so
@@ -604,12 +603,6 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string cmd = argv[1];
   if (cmd == "version" || cmd == "--version") return CmdVersion();
-  // Chaos failpoints are armed exclusively by TFI_FAILPOINTS (fault
-  // drills); without it this is one env read and the per-site probes stay a
-  // single relaxed atomic load.
-  if (const int sites = fail::ConfigureFromEnv(); sites > 0)
-    std::fprintf(stderr, "tfi: %d failpoint(s) armed from TFI_FAILPOINTS\n",
-                 sites);
   const Args args = Parse(argc, argv);
   if (!args.error.empty()) {
     std::fprintf(stderr, "tfi: %s\n", args.error.c_str());
