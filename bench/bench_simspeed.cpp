@@ -1,7 +1,7 @@
 // Throughput of the substrate itself (google-benchmark): detailed-core
 // cycles/s (base and protected core), ECC decodes/s, functional-simulator
-// instructions/s, checkpoint save/restore, and whole fault-injection
-// trials/s.
+// instructions/s, Section 5 soft trials/s, checkpoint save/restore, and
+// whole fault-injection trials/s.
 #include <benchmark/benchmark.h>
 
 #include <fstream>
@@ -15,6 +15,7 @@
 #include "inject/golden.h"
 #include "inject/trial.h"
 #include "protect/ecc.h"
+#include "soft/soft_inject.h"
 #include "uarch/core.h"
 #include "util/rng.h"
 #include "workloads/workloads.h"
@@ -98,6 +99,30 @@ void BM_FunctionalStep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_FunctionalStep);
+
+// The first 15 trials of the stock reg-bit-64 soft campaign (seed 5) on
+// gzip at fig11's size, iters 8, with the reference memo warmed before the
+// timed loop. One iteration runs all 15; items are trials.
+void BM_SoftTrial(benchmark::State& state) {
+  const Program prog = BuildWorkload(WorkloadByName("gzip"), 8, true);
+  constexpr std::uint64_t kEligible = 669507;  // reg-writing instructions
+  constexpr int kTrials = 15;
+  const std::uint64_t max_insns = 4 * FunctionalSim(prog).Run(1ULL << 40);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> trials;
+  Rng rng(5);
+  for (int t = 0; t < kTrials; ++t) {
+    const std::uint64_t target = rng.NextBelow(kEligible);
+    trials.emplace_back(target, rng.Next());
+  }
+  RunSoftTrial(prog, SoftFaultModel::kRegBit64, 0, 0, 1);  // warm the memo
+  for (auto _ : state)
+    for (const auto& [target, seed] : trials)
+      benchmark::DoNotOptimize(RunSoftTrial(prog, SoftFaultModel::kRegBit64,
+                                            target, seed, max_insns));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kTrials);
+}
+BENCHMARK(BM_SoftTrial)->Unit(benchmark::kMillisecond);
 
 void BM_SnapshotRestore(benchmark::State& state) {
   Core core(CoreConfig{}, GzipProgram());

@@ -74,6 +74,20 @@ std::uint64_t Memory::Read(std::uint64_t addr, int size) const {
 }
 
 void Memory::Write(std::uint64_t addr, std::uint64_t value, int size) {
+  // A write inside one aligned word is one word update: the hash delta of
+  // the byte-by-byte path telescopes to the word's before/after pair.
+  if (addr % 8 + static_cast<std::uint64_t>(size) <= 8) {
+    const std::uint64_t aligned = addr & ~7ULL;
+    std::uint8_t* word = EnsurePage(aligned / kPageBytes).data() +
+                         aligned % kPageBytes;
+    std::uint64_t before, after;
+    std::memcpy(&before, word, 8);
+    std::memcpy(word + addr % 8, &value, static_cast<std::size_t>(size));
+    std::memcpy(&after, word, 8);
+    hash_ ^= WordContribution(aligned, before) ^
+             WordContribution(aligned, after);
+    return;
+  }
   for (int i = 0; i < size; ++i)
     WriteByte(addr + static_cast<std::uint64_t>(i),
               static_cast<std::uint8_t>(value >> (8 * i)));

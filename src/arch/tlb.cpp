@@ -5,16 +5,23 @@
 namespace tfsim {
 
 bool Tlb::Lookup(std::unordered_set<std::uint64_t>& pages,
-                 std::uint64_t addr) {
+                 std::uint64_t& last_learned, std::uint64_t addr) {
   const std::uint64_t page = addr / kPageBytes;
   if (learning_) {
-    pages.insert(page);
+    if (page != last_learned) {
+      pages.insert(page);
+      last_learned = page;
+    }
     return true;
   }
   return pages.count(page) != 0;
 }
 
-bool Tlb::LookupInsn(std::uint64_t addr) { return Lookup(ipages_, addr); }
-bool Tlb::LookupData(std::uint64_t addr) { return Lookup(dpages_, addr); }
+bool Tlb::LookupInsn(std::uint64_t addr) {
+  return Lookup(ipages_, last_ipage_, addr);
+}
+bool Tlb::LookupData(std::uint64_t addr) {
+  return Lookup(dpages_, last_dpage_, addr);
+}
 
 }  // namespace tfsim

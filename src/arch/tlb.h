@@ -27,10 +27,16 @@ class Tlb {
   std::size_t DataPages() const { return dpages_.size(); }
 
  private:
-  bool Lookup(std::unordered_set<std::uint64_t>& pages, std::uint64_t addr);
+  // `last_learned` is the side's most recently learned page: consecutive
+  // accesses to it skip the set insert. Pages are never removed, so it is
+  // always in the set.
+  bool Lookup(std::unordered_set<std::uint64_t>& pages,
+              std::uint64_t& last_learned, std::uint64_t addr);
 
   std::unordered_set<std::uint64_t> ipages_;
   std::unordered_set<std::uint64_t> dpages_;
+  std::uint64_t last_ipage_ = ~0ULL;  // no page index is ~0
+  std::uint64_t last_dpage_ = ~0ULL;
   bool learning_ = true;
 };
 

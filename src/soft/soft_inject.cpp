@@ -5,6 +5,7 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "arch/functional_sim.h"
 #include "inject/cache.h"
@@ -45,27 +46,54 @@ Op InvertBranch(Op op) {
   }
 }
 
+// The reference records a checkpoint every this many instructions.
+constexpr std::uint64_t kCheckpointInterval = 1ULL << 16;
+
+// The fault-free machine before dynamic instruction `insns`. A trial whose
+// target lies past it starts here instead of at instruction 0.
+struct Checkpoint {
+  std::uint64_t insns = 0;
+  std::size_t syscalls = 0;  // syscall_hashes entries recorded before it
+  std::array<std::uint64_t, kNumSoftFaultModels> eligible{};
+  std::array<std::uint64_t, kNumArchRegs> regs{};
+  std::uint64_t pc = 0;
+  // Output is append-only, so the reference's output up to this length.
+  std::size_t output_len = 0;
+  // Memory as Memory::DiffWords against the freshly loaded program image.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> mem;
+};
+
 // Reference execution record.
 struct Reference {
-  std::vector<std::uint64_t> pc_trace;           // pc per dynamic insn
+  std::vector<std::uint32_t> pc_trace;           // pc per dynamic insn
   std::vector<std::uint64_t> syscall_hashes;     // state hash before each
   std::vector<std::uint8_t> output;
+  std::vector<Checkpoint> checkpoints;           // the first at insn 0
   std::uint64_t total_insns = 0;
-  std::uint64_t eligible[kNumSoftFaultModels] = {};
+  std::array<std::uint64_t, kNumSoftFaultModels> eligible{};
 };
 
 Reference RunReference(const Program& program, std::uint64_t max_insns) {
   Reference ref;
+  ArchState image;
+  LoadProgram(program, image);
   FunctionalSim sim(program);
   while (sim.Running() && ref.total_insns < max_insns) {
     const std::uint64_t pc = sim.state().pc;
+    if (pc > UINT32_MAX)
+      throw std::runtime_error("soft reference: pc does not fit 32 bits");
+    if (ref.total_insns % kCheckpointInterval == 0)
+      ref.checkpoints.push_back({ref.total_insns, ref.syscall_hashes.size(),
+                                 ref.eligible, sim.state().regs, pc,
+                                 sim.state().output.size(),
+                                 sim.state().mem.DiffWords(image.mem)});
     const DecodedInst d =
         Decode(static_cast<std::uint32_t>(sim.state().mem.Read(pc, 4)));
     if (d.cls == InsnClass::kSyscall)
       ref.syscall_hashes.push_back(sim.state().Hash());
     for (int m = 0; m < kNumSoftFaultModels; ++m)
       if (Eligible(static_cast<SoftFaultModel>(m), d)) ++ref.eligible[m];
-    ref.pc_trace.push_back(pc);
+    ref.pc_trace.push_back(static_cast<std::uint32_t>(pc));
     sim.Step();
     ++ref.total_insns;
   }
@@ -123,11 +151,29 @@ SoftTrialResult RunSoftTrial(const Program& program, SoftFaultModel model,
   const Reference& ref = ReferenceFor(program);
   SoftTrialResult result;
   Rng rng(rng_seed);
-  FunctionalSim sim(program);
 
-  std::uint64_t eligible_seen = 0;
-  std::uint64_t insns = 0;
-  std::size_t syscalls_seen = 0;
+  // Start from the last checkpoint before both the target and the runaway
+  // bound. The skipped prefix is the reference's own fault-free run, so it
+  // would set no control-flow divergence and reach no post-injection state
+  // check, and the TLB it would have filled only learns during soft runs.
+  const int m = static_cast<int>(model);
+  const Checkpoint* start = &ref.checkpoints.front();
+  for (const Checkpoint& c : ref.checkpoints) {
+    if (c.eligible[m] > target_insn || c.insns >= max_insns) break;
+    start = &c;
+  }
+  FunctionalSim sim(program);
+  for (const auto& [addr, value] : start->mem)
+    sim.state().mem.Write(addr, value, 8);
+  sim.state().regs = start->regs;
+  sim.state().pc = start->pc;
+  sim.state().output.assign(ref.output.begin(),
+                            ref.output.begin() + static_cast<std::ptrdiff_t>(
+                                                     start->output_len));
+
+  std::uint64_t eligible_seen = start->eligible[m];
+  std::uint64_t insns = start->insns;
+  std::size_t syscalls_seen = start->syscalls;
   bool injected = false;
 
   while (sim.Running() && insns < max_insns) {
@@ -217,15 +263,16 @@ SoftCampaignResult RunSoftCampaign(const SoftCampaignSpec& spec,
   result.spec = spec;
 
   // On-disk cache (same directory as the pipeline campaigns). The added
-  // constant is the soft results' version: 3 since the reference memo is
-  // exact, because an entry written before could hold trials classified
-  // against another build of the workload.
-  std::uint64_t key = Mix64(0x50F7 + 3);
+  // constant is the soft results' version: 4 since the key hashes the
+  // runaway bound, because an entry written before could hold trials run
+  // under another `max_insn_factor`.
+  std::uint64_t key = Mix64(0x50F7 + 4);
   for (char c : spec.workload) key = Mix64(key ^ static_cast<std::uint64_t>(c));
   key = Mix64(key ^ static_cast<std::uint64_t>(spec.model));
   key = Mix64(key ^ spec.iters);
   key = Mix64(key ^ static_cast<std::uint64_t>(spec.trials));
   key = Mix64(key ^ spec.seed);
+  key = Mix64(key ^ spec.max_insn_factor);
   std::ostringstream name;
   name << "soft_" << spec.workload << "_" << SoftFaultModelName(spec.model)
        << "_" << std::hex << key << ".txt";
