@@ -55,7 +55,7 @@ int main() {
           : 0.0;
   std::printf("\nraw failure-rate reduction: %.0f%%   (paper Section 4.4: "
               "~75%% after normalizing for ~7%% more state — see "
-              "bench_fig10 for the full-suite number)\n",
+              "`tfi figures fig10` for the full-suite number)\n",
               reduction);
   return 0;
 }

@@ -1,10 +1,10 @@
 // On-disk campaign results cache.
 //
-// Several paper figures derive from the same campaign (Figures 3/4/7/8 share
-// the latches+RAMs baseline campaign), and each bench binary regenerates one
-// figure, so results are cached under TFI_CACHE_DIR (default
-// <cwd>/.tfi_cache) keyed by a versioned content hash of the campaign spec.
-// Delete the directory (or change TFI_TRIALS) to force recomputation.
+// Campaigns are expensive and `tfi figures` regenerates the figures from
+// the same few campaigns run after run, so results are cached under
+// TFI_CACHE_DIR (default <cwd>/.tfi_cache) keyed by a versioned content hash
+// of the campaign spec. Delete the directory (or change --trials) to force
+// recomputation.
 //
 // Cache files are "tfi-cache v2": a CRC32-checksummed payload written via
 // temp-file + atomic rename, with every floating-point field serialized at

@@ -66,7 +66,7 @@ struct CampaignObs {
 // `jobs` value (trial specs are pre-generated from the seeded Rng before
 // any worker starts, and records are collected back in trial-index order).
 // RunCampaign reads its execution policy from here only, never from the
-// environment; tfi and the bench binaries map TFI_* variables onto it.
+// environment; tfi maps its flags onto it.
 struct CampaignOptions {
   // Worker threads for the trial loop. 1 runs serially on the calling
   // thread; 0 or negative uses one worker per hardware thread. Each worker

@@ -89,7 +89,7 @@ class VulnerabilityHeatmap {
   // Figure 8 rollup: per-category (trials, failures), ordered by failures
   // descending (ties by category name ascending) — the canonical
   // "contribution to failures" ordering the acceptance test compares
-  // against bench_fig8_contributions.
+  // against `tfi figures fig8`.
   struct CategoryShare {
     StateCat cat = StateCat::kCtrl;
     std::uint64_t trials = 0;

@@ -114,10 +114,6 @@ class MetricsRegistry {
   // timer-less export remains byte-deterministic across identical runs).
   void WriteJson(std::ostream& os, bool include_timers = true) const;
 
-  std::size_t InstrumentCount() const {
-    return counters_.size() + histograms_.size() + timers_.size();
-  }
-
  private:
   // std::map keeps the export deterministically name-sorted; unique_ptr
   // keeps handed-out instrument pointers stable.

@@ -258,7 +258,6 @@ class StateRegistry {
     std::uint64_t bits() const { return count * width; }
   };
   std::vector<FieldInfo> Fields() const;
-  std::size_t FieldCount() const { return fields_.size(); }
   FieldInfo FieldInfoAt(std::size_t i) const;
 
   std::size_t WordCount() const { return words_.size(); }

@@ -1,6 +1,6 @@
-// Minimal declarative command-line flag parser shared by the tfi driver,
-// the smoke tools and the bench binaries, so --jobs/--trials/telemetry
-// flags spell and fail identically everywhere.
+// Minimal declarative command-line flag parser shared by the tfi driver and
+// the smoke tools, so --jobs/--trials/telemetry flags spell and fail
+// identically everywhere.
 //
 // Flags are registered by name with a bound target (string, int64 or
 // presence-bool); Parse() walks argv, fills targets, collects non-flag

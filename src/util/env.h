@@ -1,6 +1,6 @@
-// Environment-variable configuration helpers for the benchmark harness.
-// Campaign sizes default to CI-friendly values and scale up via env vars
-// (TFI_TRIALS, TFI_POINTS, TFI_CACHE_DIR, ...).
+// Environment-variable configuration helpers: the results-cache directory
+// (TFI_CACHE_DIR), tfi's observation-window default (TFI_WINDOW) and the
+// fuzz smoke's seed count (TFI_SMOKE_SEEDS).
 #pragma once
 
 #include <cstdint>

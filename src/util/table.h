@@ -1,6 +1,6 @@
-// Plain-text table and horizontal-bar rendering for the benchmark harness.
-// Every bench binary prints paper-style tables/figures through this helper so
-// output formatting is uniform across experiments.
+// Plain-text table and horizontal-bar rendering. Every `tfi figures` table
+// prints through this helper, so output formatting is uniform across
+// experiments.
 #pragma once
 
 #include <string>

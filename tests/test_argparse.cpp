@@ -1,5 +1,5 @@
-// Unit tests for the shared command-line flag parser used by tfi, the smoke
-// tools and the bench binaries.
+// Unit tests for the shared command-line flag parser used by tfi and the
+// smoke tools.
 #include <gtest/gtest.h>
 
 #include "util/argparse.h"

@@ -1,6 +1,6 @@
-# End-to-end checks of `tfi campaign` through its command line: each check
-# runs the CLI with a fresh results cache (so the trials run live) and
-# validates what it printed or exported.
+# End-to-end checks of `tfi campaign` and `tfi figures` through their
+# command line: each check runs the CLI with a fresh results cache (so the
+# trials run live) and validates what it printed or exported.
 #
 #   cmake -DTFI=path/to/tfi -DWORK=scratch/dir -DCHECK=<check> \
 #         -P tfi_campaign_cli.cmake
@@ -15,6 +15,9 @@
 #   telemetry  the events JSONL holds a header, then exactly the events tfi
 #              reports as written, one trial_done per trial, campaign_finish
 #              last; the metrics counted every trial; the heatmap is JSON
+#   figures    `tfi figures table1` prints Table 1 and its total row, an
+#              unknown figure name exits 2 listing the valid names, and a
+#              small fig5 runs its campaigns and prints its category table
 cmake_minimum_required(VERSION 3.19)  # string(JSON)
 
 foreach(var TFI WORK CHECK)
@@ -190,6 +193,34 @@ elseif(CHECK STREQUAL "telemetry")
     message(FATAL_ERROR "metrics counted ${counted} trials, want 80")
   endif()
   read_heatmap(heatmap.json heatmap)
+
+elseif(CHECK STREQUAL "figures")
+  set(ENV{TFI_CACHE_DIR} "${WORK}/cache")
+  execute_process(COMMAND "${TFI}" figures table1 RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "tfi figures table1: exit ${rc}\n${out}${err}")
+  endif()
+  expect_contains("tfi figures table1" "${out}"
+                  "Table 1 — state category inventory")
+  expect_contains("tfi figures table1" "${out}" "total (injected)")
+
+  execute_process(COMMAND "${TFI}" figures nosuch RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "tfi figures nosuch: exit ${rc}, want 2\n${err}")
+  endif()
+  expect_contains("tfi figures nosuch" "${err}"
+                  "table1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11")
+
+  execute_process(COMMAND "${TFI}" figures fig5 --trials 4 --points 2
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "tfi figures fig5: exit ${rc}\n${out}${err}")
+  endif()
+  expect_contains("tfi figures fig5" "${out}"
+                  "Figure 5 — outcomes by state category (latches only)")
+  expect_contains("tfi figures fig5" "${out}" "uArch match%")
 
 else()
   message(FATAL_ERROR "unknown CHECK '${CHECK}'")

@@ -22,6 +22,11 @@
 // quarantined after its one attempt, and a result holding a quarantined
 // trial is not cached, so rerunning the campaign is the recovery.
 //   tfi soft <workload> <model> [--trials N]             Section 5 campaign
+//   tfi figures [name ...] [--trials N] [--points N]     the paper's tables
+//       [--soft-trials N] [--jobs N] [--progress]        and figures (see
+//       [--metrics-json FILE]                            tools/figures.cpp);
+//       no name = table1 fig3 ... fig11; the extensions are ablation,
+//       multibit, sensitivity and harden. Its --trials default is 500.
 //   tfi inventory [--protect]                            Table 1 state listing
 //       audit: [--json] [--coverage] [--check --baseline FILE]
 //              [--write-baseline --baseline FILE]
@@ -44,6 +49,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "figures.h"
 
 #include "analyze/asm/asmlint.h"
 #include "analyze/inventory.h"
@@ -74,7 +81,9 @@ namespace {
 struct Args {
   std::vector<std::string> positional;
   std::int64_t cycles = 200000;
-  std::int64_t trials = 300;
+  std::int64_t trials = 300;  // figures: FigureOptions' default (Parse)
+  std::int64_t points = FigureOptions{}.points;
+  std::int64_t soft_trials = FigureOptions{}.soft_trials;
   std::int64_t iters = 4;
   std::int64_t trace = 0;
   std::int64_t flips = 1;
@@ -114,12 +123,18 @@ struct Args {
 ArgParser MakeParser(Args& a) {
   ArgParser p;
   p.AddInt("cycles", &a.cycles, "pipeline cycles to run (run)");
-  p.AddInt("trials", &a.trials, "injection trials (campaign, soft)");
+  p.AddInt("trials", &a.trials,
+           "injection trials (campaign, soft; per workload: figures)");
+  p.AddInt("points", &a.points,
+           "checkpoints (start points) per golden run (figures)");
+  p.AddInt("soft-trials", &a.soft_trials,
+           "Section 5 trials per workload per fault model (figures)");
   p.AddInt("iters", &a.iters, "workload iterations (run, exec, soft)");
   p.AddInt("trace", &a.trace, "dump the last N pipeline cycles (run)");
   p.AddInt("flips", &a.flips, "bits flipped per trial (campaign)");
   p.AddInt("jobs", &a.jobs,
-           "trial-loop worker threads; 0 = all hardware threads (campaign)");
+           "trial-loop worker threads; 0 = all hardware threads (campaign, "
+           "sweep, figures)");
   p.AddInt("window", &a.window,
            "trial observation window in cycles; 0 = default 10000 or "
            "TFI_WINDOW (campaign; part of the results-cache key)");
@@ -173,6 +188,7 @@ ArgParser MakeParser(Args& a) {
 
 Args Parse(int argc, char** argv) {
   Args a;
+  if (std::strcmp(argv[1], "figures") == 0) a.trials = FigureOptions{}.trials;
   ArgParser p = MakeParser(a);
   if (!p.Parse(argc, argv, /*begin=*/2))
     a.error = p.error();
@@ -583,12 +599,23 @@ int CmdSweep(const Args& a) {
   return 0;
 }
 
+int CmdFigures(const Args& a) {
+  FigureOptions o;
+  o.trials = static_cast<int>(a.trials);
+  o.points = static_cast<int>(a.points);
+  o.soft_trials = static_cast<int>(a.soft_trials);
+  o.jobs = static_cast<int>(a.jobs);
+  o.progress = a.progress;
+  o.metrics_json = a.metrics_json;
+  return RunFigures(a.positional, o);
+}
+
 int Usage() {
   Args dummy;
   std::fprintf(stderr,
                "usage: tfi "
-               "<run|exec|campaign|sweep|soft|asmlint|inventory|workloads|"
-               "version> ...\n"
+               "<run|exec|campaign|sweep|soft|figures|asmlint|inventory|"
+               "workloads|version> ...\n"
                "options:\n%s"
                "see the header of tools/tfi.cpp for details\n",
                MakeParser(dummy).Help().c_str());
@@ -616,6 +643,7 @@ int main(int argc, char** argv) {
     if (cmd == "campaign") return CmdCampaign(args);
     if (cmd == "sweep") return CmdSweep(args);
     if (cmd == "soft") return CmdSoft(args);
+    if (cmd == "figures") return CmdFigures(args);
     if (cmd == "asmlint") return CmdAsmlint(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tfi: %s\n", e.what());
