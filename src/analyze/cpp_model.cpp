@@ -2,9 +2,8 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
+
+#include "util/fs.h"
 
 namespace tfsim::analyze {
 namespace {
@@ -631,13 +630,7 @@ void ParseCppSource(const std::string& path, const std::string& text,
 
 CppModel ParseCppFiles(const std::vector<std::string>& paths) {
   CppModel model;
-  for (const std::string& p : paths) {
-    std::ifstream in(p);
-    if (!in) throw std::runtime_error("statelint: cannot read " + p);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    ParseCppSource(p, ss.str(), &model);
-  }
+  for (const std::string& p : paths) ParseCppSource(p, ReadFile(p), &model);
   return model;
 }
 

@@ -1,5 +1,5 @@
 // Lightweight, purpose-built C++ extractor for the injection-surface lint
-// (tools/statelint). Parses the pipeline model's sources — no libclang, no
+// (`tfi statelint`). Parses the pipeline model's sources — no libclang, no
 // full grammar — and recovers exactly the two things the lint needs:
 //
 //   * every data member of every class/struct (name, type, const/static,

@@ -1,57 +1,16 @@
 #include "check/fuzz_harness.h"
 
-#include "arch/functional_sim.h"
-#include "check/invariants.h"
+#include "check/lockstep.h"
 #include "isa/assemble.h"
-#include "uarch/core.h"
 
 namespace tfsim::check {
 
 FuzzCaseResult RunLockstep(const std::string& src, const FuzzRunOptions& opt) {
-  const Program prog = Assemble(src);
-  CoreConfig cfg = opt.core;
-  cfg.check_invariants = opt.check_invariants;
-  Core core(cfg, prog);
-  FunctionalSim ref(prog);
+  Lockstep ls(opt.core, Assemble(src), kDeadlockCycles);
   FuzzCaseResult r;
-  std::uint64_t last_retire_cycle = 0;
-  for (std::uint64_t c = 0; c < opt.cycles; ++c) {
-    core.Cycle();
-    if (core.halted_exception() != Exception::kNone) {
-      r.ok = false;
-      r.failure = "pipeline exception at cycle " + std::to_string(c);
-      return r;
-    }
-    for (const RetireEvent& ev : core.RetiredThisCycle()) {
-      const RetireEvent want = ref.Step();
-      if (!(ev == want)) {
-        r.ok = false;
-        r.failure = "retire mismatch #" + std::to_string(r.retired) +
-                    " at cycle " + std::to_string(c) +
-                    "\n  core: " + ToString(ev) + "\n  ref : " +
-                    ToString(want);
-        return r;
-      }
-      ++r.retired;
-    }
-    if (!core.RetiredThisCycle().empty()) last_retire_cycle = c;
-    if (const InvariantChecker* chk = core.invariant_checker();
-        chk && chk->total() != 0) {
-      r.ok = false;
-      r.violations = chk->total();
-      const InvariantViolation& v = chk->violations().front();
-      r.failure = std::string("invariant violation [") +
-                  InvariantKindName(v.kind) + "] at cycle " +
-                  std::to_string(v.cycle) + ": " + v.detail;
-      return r;
-    }
-    if (c - last_retire_cycle > opt.deadlock_cycles) {
-      r.ok = false;
-      r.failure = "deadlock: no retirement since cycle " +
-                  std::to_string(last_retire_cycle);
-      return r;
-    }
-  }
+  r.ok = ls.Run(opt.cycles);
+  r.failure = ls.Failure();
+  r.retired = ls.retired();
   return r;
 }
 

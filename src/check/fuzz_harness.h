@@ -1,8 +1,8 @@
 // Differential fuzzing harness: runs a generated program on the detailed
-// core in lockstep with the FunctionalSim oracle, with the per-cycle
-// invariant checker enabled, and greedily shrinks failing cases by
-// disabling program blocks (see progfuzz.h). Used by tools/fuzz and by the
-// differential test suites.
+// core in lockstep with the FunctionalSim oracle (check/lockstep.h), with
+// the per-cycle invariant checker enabled, and greedily shrinks failing
+// cases by disabling program blocks (see progfuzz.h). Used by `tfi fuzz`
+// and by the differential test suites.
 #pragma once
 
 #include <cstdint>
@@ -16,25 +16,26 @@ namespace tfsim::check {
 
 struct FuzzRunOptions {
   std::uint64_t cycles = 15000;
-  bool check_invariants = true;
-  // Generated programs retire continuously when healthy (they end in a
-  // self-retiring spin loop); this many retire-less cycles is a deadlock.
-  std::uint64_t deadlock_cycles = 2000;
   // Core geometry under test (differential fuzzing sweeps shapes, not just
-  // programs). check_invariants above wins over core.check_invariants.
-  CoreConfig core;
+  // programs). The invariant checker is on unless the caller turns
+  // CoreConfig::check_invariants off.
+  CoreConfig core = [] {
+    CoreConfig c;
+    c.check_invariants = true;
+    return c;
+  }();
 };
 
 struct FuzzCaseResult {
   bool ok = true;
-  std::string failure;           // first mismatch/violation/deadlock report
-  std::uint64_t retired = 0;     // retire events compared in lockstep
-  std::uint64_t violations = 0;  // invariant violations observed
+  std::string failure;        // the lockstep failure report
+  std::uint64_t retired = 0;  // retire events compared in lockstep
 };
 
-// Assembles `src` and runs the core against the functional simulator,
-// failing on the first retire mismatch, invariant violation, pipeline
-// exception, or retirement deadlock.
+// Assembles `src` and runs it through check::Lockstep for opt.cycles
+// cycles. Generated programs retire continuously when healthy (they end in
+// a self-retiring spin loop), so kDeadlockCycles without a retirement is a
+// deadlock.
 FuzzCaseResult RunLockstep(const std::string& src, const FuzzRunOptions& opt);
 
 struct ShrinkResult {

@@ -21,7 +21,6 @@
 #include "soft/harden.h"
 #include "util/argparse.h"
 #include "util/rng.h"
-#include "workloads/workloads.h"
 
 namespace tfsim {
 
@@ -493,16 +492,6 @@ CampaignResult MergeResults(const std::vector<CampaignResult>& parts) {
   merged.golden_bp_accuracy = bp / static_cast<double>(parts.size());
   merged.golden_dcache_misses = dmiss;
   return merged;
-}
-
-std::vector<CampaignResult> RunSuite(CampaignSpec spec,
-                                     const CampaignOptions& opt) {
-  std::vector<CampaignResult> out;
-  for (const auto& w : AllWorkloads()) {
-    spec.workload = w.name;
-    out.push_back(RunCampaign(spec, opt));
-  }
-  return out;
 }
 
 }  // namespace tfsim

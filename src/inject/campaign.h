@@ -164,9 +164,4 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
 // throws std::invalid_argument otherwise.
 CampaignResult MergeResults(const std::vector<CampaignResult>& parts);
 
-// Convenience: runs the same campaign spec across all ten workloads,
-// forwarding `opt` (including observability sinks) to every campaign.
-std::vector<CampaignResult> RunSuite(CampaignSpec spec,
-                                     const CampaignOptions& opt = {});
-
 }  // namespace tfsim

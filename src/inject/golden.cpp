@@ -1,10 +1,10 @@
 #include "inject/golden.h"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 
-#include "arch/functional_sim.h"
+#include "check/lockstep.h"
 
 namespace tfsim {
 
@@ -27,8 +27,12 @@ std::shared_ptr<const GoldenRun> RecordGolden(const CoreConfig& cfg,
   run->program = program;
   run->spec = spec;
 
-  Core core(cfg, program);
-  FunctionalSim ref(program);
+  // Co-simulation: the pipeline's retire stream must equal the functional
+  // simulator's execution instruction-for-instruction, and no fault-free
+  // stretch may go kLockedThresholdCycles without a retirement.
+  check::Lockstep lockstep(cfg, program,
+                           static_cast<std::uint64_t>(kLockedThresholdCycles));
+  Core& core = lockstep.core();
   core.tlb().SetLearning(true);
   core.AttachObs(obs);
 
@@ -57,36 +61,17 @@ std::shared_ptr<const GoldenRun> RecordGolden(const CoreConfig& cfg,
     tracker->Seal();
   }
 
-  std::uint64_t max_retire_gap = 0;
-  std::uint64_t gap = 0;
-
   auto step = [&](bool recording, std::uint64_t rel_cycle) {
     const bool track = recording && tracker != nullptr && !tracker->Done();
     if (track) {
       tracker->SetCycle(rel_cycle);
       core.registry().SetAccessTracker(tracker.get());
     }
-    core.Cycle();
-    if (core.halted_exception() != Exception::kNone || core.itlb_miss() ||
-        core.exited()) {
-      std::ostringstream os;
-      os << "golden run failed at cycle " << core.stats().cycles << ": "
-         << (core.exited() ? "program exited inside the window"
-                           : ExceptionName(core.halted_exception()));
-      throw std::runtime_error(os.str());
-    }
-    // Co-simulation: the pipeline's retire stream must equal the functional
-    // simulator's execution instruction-for-instruction.
-    for (const RetireEvent& ev : core.RetiredThisCycle()) {
-      const RetireEvent want = ref.Step();
-      if (!(ev == want)) {
-        throw std::runtime_error("golden co-simulation mismatch:\n  core: " +
-                                 ToString(ev) + "\n  ref : " + ToString(want));
-      }
-    }
-    gap = core.RetiredThisCycle().empty() ? gap + 1 : 0;
-    if (gap > max_retire_gap) max_retire_gap = gap;
-
+    if (!lockstep.Step())
+      throw std::runtime_error(
+          "golden run failed: " +
+          (lockstep.exited() ? std::string("program exited inside the window")
+                             : lockstep.Failure()));
     if (!recording) return;
     tl.state_hash.push_back(core.StateHash());
     // ArchViewHash runs with the tracker still installed: its reads mirror
@@ -134,10 +119,6 @@ std::shared_ptr<const GoldenRun> RecordGolden(const CoreConfig& cfg,
     }
     step(true, c);
   }
-
-  if (max_retire_gap >= static_cast<std::uint64_t>(kLockedThresholdCycles))
-    throw std::runtime_error(
-        "golden run stalled past the locked-detection threshold");
 
   if (fastpath != nullptr) {
     run->fastpath.enabled = true;

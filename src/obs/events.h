@@ -100,9 +100,10 @@ class EventJournal {
   EventJournal(const EventJournal&) = delete;
   EventJournal& operator=(const EventJournal&) = delete;
 
-  // Sinks may be added/removed between campaigns (RunSuite reuses one
-  // journal; each campaign attaches its own progress sink). Thread-safe; a
-  // removed sink receives nothing further and may be destroyed at once.
+  // Sinks may be added/removed between campaigns (one journal may serve
+  // several campaigns; each campaign attaches its own progress sink).
+  // Thread-safe; a removed sink receives nothing further and may be
+  // destroyed at once.
   void AddSink(EventSink* sink);
   void RemoveSink(EventSink* sink);
 

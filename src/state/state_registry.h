@@ -198,7 +198,7 @@ class StateRegistry {
   // order across two registry instances occupy identical word offsets — the
   // property that makes golden/faulty hash comparison meaningful. The call
   // site is recorded on the field (FieldInfo::site_file/site_line) so audits
-  // like `tools/statelint` can map every registered bit back to the source
+  // like `tfi statelint` can map every registered bit back to the source
   // line that declared it.
   StateField Allocate(std::string name, StateCat cat, Storage storage,
                       std::size_t count, std::uint8_t width,

@@ -4,15 +4,6 @@
 
 namespace tfsim {
 
-std::int64_t EnvInt(const char* name, std::int64_t fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v, &end, 10);
-  if (end == v) return fallback;
-  return parsed;
-}
-
 std::string EnvStr(const char* name, const std::string& fallback) {
   const char* v = std::getenv(name);
   return (v && *v) ? std::string(v) : fallback;

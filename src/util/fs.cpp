@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <fstream>
+#include <sstream>
+#include <stdexcept>
 #include <system_error>
 
 #ifndef _WIN32
@@ -56,6 +58,14 @@ bool AtomicWriteFile(const std::filesystem::path& path,
                 error);
   }
   return true;
+}
+
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot read " + path.string());
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
 }
 
 }  // namespace tfsim

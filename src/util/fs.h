@@ -1,4 +1,5 @@
-// Filesystem helpers for crash-consistent on-disk state.
+// Filesystem helpers: whole-file reads, and crash-consistent writes for
+// on-disk state.
 //
 // The results cache must never be observed half-written: a reader either sees the previous complete file or the new
 // complete file. AtomicWriteFile gets that by writing a uniquely-named
@@ -17,5 +18,9 @@ namespace tfsim {
 // temporary is cleaned up. The parent directory must already exist.
 bool AtomicWriteFile(const std::filesystem::path& path,
                      std::string_view contents, std::string* error = nullptr);
+
+// Returns the whole contents of `path`; throws std::runtime_error
+// ("cannot read PATH") if it cannot be opened.
+std::string ReadFile(const std::filesystem::path& path);
 
 }  // namespace tfsim

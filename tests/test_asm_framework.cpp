@@ -4,14 +4,13 @@
 // every workload in the suite.
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "analyze/asm/cfg.h"
 #include "analyze/asm/dataflow.h"
 #include "isa/assemble.h"
 #include "isa/isa.h"
+#include "util/fs.h"
 #include "workloads/workloads.h"
 
 namespace tfsim {
@@ -81,11 +80,8 @@ TEST(AsmRoundTrip, WorkloadsReachFixedPoint) {
 }
 
 TEST(AsmRoundTrip, ExampleProgramReachesFixedPoint) {
-  std::ifstream in(std::string(TFSIM_SOURCE_DIR) + "/examples/hello.s");
-  ASSERT_TRUE(in.good());
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const Program p = Assemble(ss.str());
+  const Program p =
+      Assemble(ReadFile(std::string(TFSIM_SOURCE_DIR) + "/examples/hello.s"));
   const std::string src = analyze::DisassembleProgram(p);
   const Program p2 = Assemble(src);
   EXPECT_EQ(p.entry, p2.entry);

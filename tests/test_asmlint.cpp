@@ -4,11 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "analyze/asm/asmlint.h"
+#include "util/fs.h"
 #include "workloads/workloads.h"
 
 namespace tfsim {
@@ -212,13 +211,12 @@ TEST(AsmLint, UnusedAllowlistEntryIsAFinding) {
 // clean through it and every entry is consumed (the same invariant the
 // asmlint_workloads ctest enforces, pinned here at the API level).
 TEST(AsmLint, WorkloadsLintCleanThroughShippedAllowlist) {
-  std::ifstream in(std::string(TFSIM_SOURCE_DIR) + "/tools/asmlint_allow.txt");
-  ASSERT_TRUE(in.good());
-  std::ostringstream ss;
-  ss << in.rdbuf();
   std::vector<AllowEntry> allow;
   std::string error;
-  ASSERT_TRUE(analyze::ParseAllowlist(ss.str(), &allow, &error)) << error;
+  ASSERT_TRUE(analyze::ParseAllowlist(
+      ReadFile(std::string(TFSIM_SOURCE_DIR) + "/tools/asmlint_allow.txt"),
+      &allow, &error))
+      << error;
 
   for (const auto& w : AllWorkloads()) {
     AsmLintOptions opt;

@@ -1,15 +1,19 @@
-// The per-cycle invariant checker (src/check/): a fault-free machine must
-// report zero violations on every workload; seeded corruptions of specific
-// structures must be detected in the same cycle and assigned the right
-// category; checked campaigns quarantine structural violations as Trial
+// The per-cycle invariant checker and the lockstep stepper (src/check/): a
+// fault-free machine must report zero violations on every workload; seeded
+// corruptions of specific structures must be detected in the same cycle and
+// assigned the right category; the stepper ends a run at the first failure
+// of each kind; checked campaigns quarantine structural violations as Trial
 // Error and bypass the results cache.
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "arch/functional_sim.h"
 #include "campaign_fixture.h"
 #include "check/invariants.h"
+#include "check/lockstep.h"
 #include "inject/campaign.h"
+#include "isa/assemble.h"
 #include "obs/metrics.h"
 #include "obs/sinks.h"
 #include "uarch/core.h"
@@ -215,6 +219,87 @@ TEST(InvariantChecker, DetectionIsSameCycleAndCounted) {
   EXPECT_EQ(chk->violations().front().cycle, core.stats().cycles);
   EXPECT_GE(metrics.GetCounter("check.violations.queue_pointers").value(),
             1u);
+}
+
+// --- the lockstep stepper ---------------------------------------------------
+
+using check::Lockstep;
+
+// Fails unless the stepper's run ended with a failure report holding `what`.
+void ExpectFailure(const Lockstep& ls, const std::string& what) {
+  EXPECT_FALSE(ls.ok());
+  EXPECT_FALSE(ls.exited());
+  EXPECT_NE(ls.Failure().find(what), std::string::npos) << ls.Failure();
+}
+
+TEST(Lockstep, CleanExitEndsTheRunOk) {
+  const Program prog = Assemble(R"(
+      _start:
+      li a0, 0
+      li v0, 1
+      syscall
+  )");
+  Lockstep ls(CoreConfig{}, prog, check::kDeadlockCycles);
+  EXPECT_TRUE(ls.Run(5000));
+  EXPECT_TRUE(ls.exited());
+  FunctionalSim ref(prog);
+  ref.Run(100);
+  EXPECT_EQ(ls.retired(), ref.InsnCount());  // every instruction compared
+  EXPECT_EQ(ls.Failure(), "");
+  EXPECT_FALSE(ls.Step());  // an ended run stays ended
+  EXPECT_TRUE(ls.ok());
+}
+
+TEST(Lockstep, ArchRegisterFlipIsRetireMismatch) {
+  // r1 is written once; every later addq reads it from the register file.
+  const Program prog = Assemble(R"(
+      _start:
+      li r1, 1000
+      li r3, 0
+      loop:
+      addq r3, r1, r3
+      br loop
+  )");
+  Lockstep ls(CoreConfig{}, prog, check::kDeadlockCycles);
+  ASSERT_TRUE(ls.Run(500)) << ls.Failure();
+  Core& core = ls.core();
+  const std::uint64_t preg = core.rename_unit().ReadArchRaw(1);
+  core.registry().FlipBit(
+      LocateNamed(core.registry(), "regfile.value", preg, 3));
+  EXPECT_FALSE(ls.Run(500));
+  ExpectFailure(ls, "retire mismatch #");
+}
+
+TEST(Lockstep, FaultingProgramIsPipelineException) {
+  const Program prog = Assemble(R"(
+      _start:
+      la r2, buf
+      ldq r1, 1(r2)       ; unaligned quadword load
+      hang: br hang
+      .data
+      buf: .space 16
+  )");
+  Lockstep ls(CoreConfig{}, prog, check::kDeadlockCycles);
+  EXPECT_FALSE(ls.Run(2000));
+  ExpectFailure(ls, "pipeline exception unaligned at cycle ");
+}
+
+TEST(Lockstep, CheckerViolationAndStallEndTheRun) {
+  Lockstep checked(CheckedRig::MakeConfig(),
+                   BuildWorkload(WorkloadByName("gzip"), kCampaignIters),
+                   check::kDeadlockCycles);
+  ASSERT_TRUE(checked.Run(3000)) << checked.Failure();
+  checked.core().registry().FlipBit(
+      LocateNamed(checked.core().registry(), "rob.count", 0, 0));
+  EXPECT_FALSE(checked.Step());
+  ExpectFailure(checked, "invariant violation [");
+
+  // Nothing retires in the first few cycles of a cold 12-stage pipeline.
+  Lockstep stalled(CoreConfig{},
+                   BuildWorkload(WorkloadByName("gzip"), kCampaignIters), 5);
+  EXPECT_FALSE(stalled.Run(100));
+  ExpectFailure(stalled, "deadlock: no retirement in 5 cycles at cycle 4");
+  EXPECT_EQ(stalled.cycles(), 5u);
 }
 
 // --- checked campaigns -----------------------------------------------------

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "arch/functional_sim.h"
+#include "check/lockstep.h"
 #include "isa/assemble.h"
 #include "uarch/core.h"
 #include "workloads/workloads.h"
@@ -12,23 +13,12 @@
 namespace tfsim {
 namespace {
 
-// Runs the pipeline and functional simulator in lockstep, asserting that the
-// retire streams are identical.
+// Runs the pipeline and functional simulator in lockstep for `cycles`
+// cycles or until the program exits.
 void CoSim(const Program& prog, std::uint64_t cycles,
            CoreConfig cfg = CoreConfig{}) {
-  Core core(cfg, prog);
-  FunctionalSim ref(prog);
-  for (std::uint64_t c = 0; c < cycles; ++c) {
-    core.Cycle();
-    ASSERT_EQ(core.halted_exception(), Exception::kNone) << "cycle " << c;
-    ASSERT_FALSE(core.itlb_miss()) << "cycle " << c;
-    for (const RetireEvent& ev : core.RetiredThisCycle()) {
-      const RetireEvent want = ref.Step();
-      ASSERT_EQ(ev, want) << "cycle " << c << "\n  core: " << ToString(ev)
-                          << "\n  ref : " << ToString(want);
-    }
-    if (core.exited()) break;
-  }
+  check::Lockstep ls(cfg, prog, check::kDeadlockCycles);
+  EXPECT_TRUE(ls.Run(cycles)) << ls.Failure();
 }
 
 class WorkloadCoSim : public ::testing::TestWithParam<const char*> {};
@@ -74,21 +64,11 @@ TEST(Core, RunsProgramsToCompletion) {
 TEST(Core, SyscallsSerializeCorrectly) {
   // Per-iteration write syscalls force repeated full flushes mid-execution.
   const Program prog = BuildWorkload(WorkloadByName("gcc"), 3, true);
-  Core core(CoreConfig{}, prog);
-  FunctionalSim ref(prog);
-  std::uint64_t checked = 0;
-  for (int c = 0; c < 300000 && !core.exited(); ++c) {
-    core.Cycle();
-    ASSERT_EQ(core.halted_exception(), Exception::kNone);
-    for (const RetireEvent& ev : core.RetiredThisCycle()) {
-      const RetireEvent want = ref.Step();
-      ASSERT_EQ(ev, want) << ToString(ev) << " vs " << ToString(want);
-      ++checked;
-    }
-  }
-  EXPECT_TRUE(core.exited());
-  EXPECT_GT(core.stats().full_flushes, 3u);  // one per syscall at least
-  EXPECT_GT(checked, 1000u);
+  check::Lockstep ls(CoreConfig{}, prog, check::kDeadlockCycles);
+  ASSERT_TRUE(ls.Run(300000)) << ls.Failure();
+  EXPECT_TRUE(ls.exited());
+  EXPECT_GT(ls.core().stats().full_flushes, 3u);  // one per syscall at least
+  EXPECT_GT(ls.retired(), 1000u);
 }
 
 TEST(Core, Deterministic) {
@@ -160,14 +140,9 @@ TEST(Core, MispredictRecoveryPreservesCorrectness) {
       bgt r1, loop
       hang: br hang
   )");
-  Core core(CoreConfig{}, prog);
-  FunctionalSim ref(prog);
-  for (int c = 0; c < 20000; ++c) {
-    core.Cycle();
-    for (const RetireEvent& ev : core.RetiredThisCycle())
-      ASSERT_EQ(ev, ref.Step());
-  }
-  EXPECT_GT(core.stats().mispredicts, 50u);  // predictor genuinely stressed
+  check::Lockstep ls(CoreConfig{}, prog, check::kDeadlockCycles);
+  ASSERT_TRUE(ls.Run(20000)) << ls.Failure();
+  EXPECT_GT(ls.core().stats().mispredicts, 50u);  // predictor stressed
 }
 
 TEST(Core, MemoryOrderViolationsAreDetectedAndRecovered) {
@@ -195,14 +170,9 @@ TEST(Core, MemoryOrderViolationsAreDetectedAndRecovered) {
       .data
       buf: .space 64
   )");
-  Core core(CoreConfig{}, prog);
-  FunctionalSim ref(prog);
-  for (int c = 0; c < 30000; ++c) {
-    core.Cycle();
-    for (const RetireEvent& ev : core.RetiredThisCycle())
-      ASSERT_EQ(ev, ref.Step()) << "cycle " << c;
-  }
-  EXPECT_GT(core.RetiredTotal(), 3000u);
+  check::Lockstep ls(CoreConfig{}, prog, check::kDeadlockCycles);
+  ASSERT_TRUE(ls.Run(30000)) << ls.Failure();
+  EXPECT_GT(ls.core().RetiredTotal(), 3000u);
 }
 
 TEST(Core, InFlightStaysWithinPaperCapacity) {

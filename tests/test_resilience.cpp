@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "campaign_fixture.h"
 #include "inject/cache.h"
@@ -47,13 +46,6 @@ CampaignResult AwkwardResult(const CampaignSpec& spec) {
   return r;
 }
 
-std::string SlurpFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
 void WriteRaw(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << bytes;
@@ -75,9 +67,9 @@ TEST(AtomicWrite, WritesAndReplaces) {
   fs::remove(path);
   std::string error;
   ASSERT_TRUE(AtomicWriteFile(path, "first", &error)) << error;
-  EXPECT_EQ(SlurpFile(path.string()), "first");
+  EXPECT_EQ(ReadFile(path.string()), "first");
   ASSERT_TRUE(AtomicWriteFile(path, "second longer contents", &error));
-  EXPECT_EQ(SlurpFile(path.string()), "second longer contents");
+  EXPECT_EQ(ReadFile(path.string()), "second longer contents");
   // No temporaries left behind.
   int siblings = 0;
   for (const auto& e : fs::directory_iterator(path.parent_path()))
@@ -120,7 +112,7 @@ TEST(CacheV2, RejectsTamperedTruncatedAndPaddedFiles) {
   const CampaignSpec spec = SmallCampaign(9);
   ASSERT_TRUE(StoreCachedCampaign(AwkwardResult(spec)));
   const std::string path = CachePath(spec);
-  const std::string good = SlurpFile(path);
+  const std::string good = ReadFile(path);
   ASSERT_TRUE(LoadCachedCampaign(spec).has_value());
 
   // Flip one payload byte: CRC mismatch.
@@ -236,7 +228,7 @@ TEST(TornState, HalfWrittenCacheTempFilesAreIgnored) {
 
   // Plant torn temp siblings mimicking an interrupted writer.
   WriteRaw(path + ".tmp.12345.0", "torn half-written payload");
-  WriteRaw(path + ".tmp.12345.1", SlurpFile(path).substr(0, 10));
+  WriteRaw(path + ".tmp.12345.1", ReadFile(path).substr(0, 10));
 
   const auto loaded = LoadCachedCampaign(spec);
   ASSERT_TRUE(loaded.has_value());

@@ -1,6 +1,6 @@
-# End-to-end checks of `tfi campaign` and `tfi figures` through their
-# command line: each check runs the CLI with a fresh results cache (so the
-# trials run live) and validates what it printed or exported.
+# End-to-end checks of `tfi campaign`, `tfi figures` and tfi's flag parsing
+# through the command line: each check runs the CLI with a fresh results
+# cache (so the trials run live) and validates what it printed or exported.
 #
 #   cmake -DTFI=path/to/tfi -DWORK=scratch/dir -DCHECK=<check> \
 #         -P tfi_campaign_cli.cmake
@@ -18,6 +18,8 @@
 #   figures    `tfi figures table1` prints Table 1 and its total row, an
 #              unknown figure name exits 2 listing the valid names, and a
 #              small fig5 runs its campaigns and prints its category table
+#   flags      a subcommand given a flag it does not read exits 2 naming
+#              it, and `tfi fuzz` runs
 cmake_minimum_required(VERSION 3.19)  # string(JSON)
 
 foreach(var TFI WORK CHECK)
@@ -50,6 +52,17 @@ function(expect_contains what text needle)
   if(at EQUAL -1)
     message(FATAL_ERROR "${what} lacks ${needle}")
   endif()
+endfunction()
+
+# Fails unless `tfi <args...>` exits 2 and names `flag` on stderr.
+function(expect_usage_error flag)
+  execute_process(COMMAND "${TFI}" ${ARGN} WORKING_DIRECTORY "${WORK}"
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  string(JOIN " " args ${ARGN})
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "tfi ${args}: exit ${rc}, want 2\n${out}${err}")
+  endif()
+  expect_contains("tfi ${args} stderr" "${err}" "${flag}")
 endfunction()
 
 # Fails unless `json` parses.
@@ -221,6 +234,17 @@ elseif(CHECK STREQUAL "figures")
   expect_contains("tfi figures fig5" "${out}"
                   "Figure 5 — outcomes by state category (latches only)")
   expect_contains("tfi figures fig5" "${out}" "uArch match%")
+
+elseif(CHECK STREQUAL "flags")
+  set(ENV{TFI_CACHE_DIR} "${WORK}/cache")
+  expect_usage_error(--points campaign gzip --points 4)
+  expect_usage_error(--jobs run gzip --jobs 2)
+  execute_process(COMMAND "${TFI}" fuzz --seeds 1 --quiet
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "tfi fuzz --seeds 1 --quiet: exit ${rc}\n${out}${err}")
+  endif()
+  expect_contains("tfi fuzz" "${out}" "fuzz: 0/5 cases failed")
 
 else()
   message(FATAL_ERROR "unknown CHECK '${CHECK}'")

@@ -648,7 +648,7 @@ void Ablation(Runs& runs) {
   std::fputs(t.Render().c_str(), stdout);
   std::printf(
       "\n(reduction here is raw, not normalized for added state; see "
-      "bench_fig10 for the paper's normalized 75%% figure)\n");
+      "`tfi figures fig10` for the paper's normalized 75%% figure)\n");
 }
 
 // Extension beyond the paper: multi-bit fault models. Section 6 flags the

@@ -1,52 +1,29 @@
 // tfi — command-line driver for the transient-fault-injection toolkit.
 //
-//   tfi run <workload|file.s> [--cycles N] [--trace N]   run on the pipeline
-//   tfi exec <workload|file.s> [--iters N]               functional execution
-//   tfi campaign <workload> [--trials N] [--latches-only] [--protect]
-//                 [--flips N] [--adjacent] [--jobs N]    one injection campaign
-//                 [--window N] (observation window in cycles; default 10000,
-//                 env TFI_WINDOW; part of the results-cache key)
-//                 [--no-fast-path] (the default fast path snapshots inject
-//                 points and cuts off early convergence; results are
-//                 byte-identical — --no-fast-path replays every trial from
-//                 its golden checkpoint)
-//       telemetry: [--metrics-json FILE] [--prop-trace FILE]
-//                  [--chrome-trace FILE] [--progress]
-//                  [--events-jsonl FILE] (structured campaign event journal)
-//                  [--heatmap-json FILE] [--heatmap-csv FILE] (per-field
-//                  vulnerability heatmap)
+// One subcommand per task, listed in the table at the end of this file:
+// run (lockstep co-simulation on the pipeline), exec (functional
+// execution), campaign, sweep, soft (Section 5), figures (the paper's
+// tables and figures, see tools/figures.cpp), inventory (Table 1 and its
+// audit), asmlint, statelint, fuzz, workloads and version. `tfi` alone lists
+// them, and a usage error (`tfi campaign --help` is one) prints the flags
+// that subcommand reads. Each subcommand parses only those: any other --flag, a
+// flag missing its value or a wrong number of positional arguments is a
+// usage error naming it (flags are never treated as positional names).
 //
-// Exit codes: 0 success; 1 error; 2 usage error. A campaign either
-// completes (and lands in the results cache) or leaves nothing: an
-// interrupted campaign reruns from its start. A trial that throws is
-// quarantined after its one attempt, and a result holding a quarantined
-// trial is not cached, so rerunning the campaign is the recovery.
-//   tfi soft <workload> <model> [--trials N]             Section 5 campaign
-//   tfi figures [name ...] [--trials N] [--points N]     the paper's tables
-//       [--soft-trials N] [--jobs N] [--progress]        and figures (see
-//       [--metrics-json FILE]                            tools/figures.cpp);
-//       no name = table1 fig3 ... fig11; the extensions are ablation,
-//       multibit, sensitivity and harden. Its --trials default is 500.
-//   tfi inventory [--protect]                            Table 1 state listing
-//       audit: [--json] [--coverage] [--check --baseline FILE]
-//              [--write-baseline --baseline FILE]
-//   tfi asmlint [unit|file.s ...] [--allow FILE]         static program lint
-//       [--harden cfc|dup|full]  also statically verify the hardened variant
-//       [--dump]  print each unit's lifted program as assembler-compatible
-//                 text (round-trips through Assemble)
-//       Exit code = number of findings (0 = programs verified).
-//   tfi workloads                                        list the suite
-//   tfi version                                          build configuration
-//
-// Unknown --flags are rejected with a usage error (they are never silently
-// treated as positional workload names).
+// Exit codes: 0 success; 1 error; 2 usage error. run, fuzz, asmlint and
+// statelint exit with their count of failing programs, cases or findings.
+// A campaign either completes (and lands in the results cache) or leaves
+// nothing: an interrupted campaign reruns from its start. A trial that
+// throws is quarantined after its one attempt, and a result holding a
+// quarantined trial is not cached, so rerunning the campaign is the
+// recovery.
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -54,7 +31,11 @@
 
 #include "analyze/asm/asmlint.h"
 #include "analyze/inventory.h"
+#include "analyze/statelint.h"
 #include "arch/functional_sim.h"
+#include "check/fuzz_harness.h"
+#include "check/lockstep.h"
+#include "check/progfuzz.h"
 #include "inject/campaign.h"
 #include "inject/report.h"
 #include "inject/sweep.h"
@@ -66,7 +47,7 @@
 #include "soft/soft_inject.h"
 #include "uarch/core.h"
 #include "util/argparse.h"
-#include "util/env.h"
+#include "util/fs.h"
 #include "workloads/workloads.h"
 
 // Active sanitizer configuration, stamped in by CMake from TFI_SANITIZE so
@@ -78,319 +59,107 @@
 namespace tfsim {
 namespace {
 
-struct Args {
-  std::vector<std::string> positional;
-  std::int64_t cycles = 200000;
-  std::int64_t trials = 300;  // figures: FigureOptions' default (Parse)
-  std::int64_t points = FigureOptions{}.points;
-  std::int64_t soft_trials = FigureOptions{}.soft_trials;
-  std::int64_t iters = 4;
-  std::int64_t trace = 0;
-  std::int64_t flips = 1;
-  std::int64_t jobs = 1;
-  std::int64_t window = 0;  // 0 = GoldenSpec default (or TFI_WINDOW)
-  bool no_fast_path = false;
-  bool latches_only = false;
-  bool protect = false;
-  bool adjacent = false;
-  // Telemetry exports (campaign subcommand).
-  std::string metrics_json;
-  std::string prop_trace;
-  std::string chrome_trace;
-  std::string events_jsonl;
-  std::string heatmap_json;
-  std::string heatmap_csv;
-  bool progress = false;
-  bool check = false;
-  // Geometry sweep (sweep subcommand).
-  std::string suite = "default";
-  std::string axis;
-  std::string sweep_json;
-  std::string sweep_csv;
-  // Static program lint (asmlint subcommand).
-  std::string allow;
-  std::string harden;
-  bool dump = false;
-  // Inventory audit (inventory subcommand).
-  bool json = false;
-  bool coverage = false;
-  bool write_baseline = false;
-  std::string baseline;
-  // Parse error: first unknown --flag, or a flag missing its value.
-  std::string error;
-};
+using Args = std::vector<std::string>;  // a subcommand's positional arguments
 
-ArgParser MakeParser(Args& a) {
-  ArgParser p;
-  p.AddInt("cycles", &a.cycles, "pipeline cycles to run (run)");
-  p.AddInt("trials", &a.trials,
-           "injection trials (campaign, soft; per workload: figures)");
-  p.AddInt("points", &a.points,
-           "checkpoints (start points) per golden run (figures)");
-  p.AddInt("soft-trials", &a.soft_trials,
-           "Section 5 trials per workload per fault model (figures)");
-  p.AddInt("iters", &a.iters, "workload iterations (run, exec, soft)");
-  p.AddInt("trace", &a.trace, "dump the last N pipeline cycles (run)");
-  p.AddInt("flips", &a.flips, "bits flipped per trial (campaign)");
-  p.AddInt("jobs", &a.jobs,
-           "trial-loop worker threads; 0 = all hardware threads (campaign, "
-           "sweep, figures)");
-  p.AddInt("window", &a.window,
-           "trial observation window in cycles; 0 = default 10000 or "
-           "TFI_WINDOW (campaign; part of the results-cache key)");
-  p.AddFlag("no-fast-path", &a.no_fast_path,
-            "replay every trial from its checkpoint instead (campaign)");
-  p.AddFlag("latches-only", &a.latches_only,
-            "inject latches only, not RAMs (campaign)");
-  p.AddFlag("protect", &a.protect,
-            "enable the Section 4 protection mechanisms");
-  p.AddFlag("adjacent", &a.adjacent,
-            "extra flips hit adjacent bits (campaign)");
-  p.AddStr("metrics-json", &a.metrics_json, "metrics registry export path");
-  p.AddStr("prop-trace", &a.prop_trace, "propagation-trace JSONL path");
-  p.AddStr("chrome-trace", &a.chrome_trace, "chrome trace-event export path");
-  p.AddStr("events-jsonl", &a.events_jsonl,
-           "structured campaign event journal path (JSONL)");
-  p.AddStr("heatmap-json", &a.heatmap_json,
-           "per-field vulnerability heatmap JSON path");
-  p.AddStr("heatmap-csv", &a.heatmap_csv,
-           "per-field vulnerability heatmap CSV path");
-  p.AddFlag("progress", &a.progress, "periodic trials/sec progress lines");
-  p.AddFlag("check", &a.check,
-            "run trials with the per-cycle invariant checker; violations "
-            "quarantine the trial (campaign; bypasses the results cache). "
-            "With inventory: compare against --baseline and fail on drift");
-  p.AddStr("suite", &a.suite,
-           "geometry suite: default (all axes) or smoke (3 points) (sweep)");
-  p.AddStr("axis", &a.axis,
-           "restrict the sweep to one axis: rob, sched, lsq, pregs, width "
-           "(sweep)");
-  p.AddStr("sweep-json", &a.sweep_json,
-           "vulnerability-vs-utilization curves JSON path; '-' = stdout "
-           "(sweep)");
-  p.AddStr("sweep-csv", &a.sweep_csv,
-           "per-point per-structure CSV path; '-' = stdout (sweep)");
-  p.AddStr("allow", &a.allow, "allowlist of audited exceptions (asmlint)");
-  p.AddStr("harden", &a.harden,
-           "also verify the hardened variant: cfc, dup or full (asmlint)");
-  p.AddFlag("dump", &a.dump, "print each unit's lifted disassembly (asmlint)");
-  p.AddFlag("json", &a.json,
-            "emit the canonical audit JSON (inventory); sweep curves JSON "
-            "on stdout (sweep)");
-  p.AddFlag("coverage", &a.coverage,
-            "per-mechanism protection coverage table (inventory)");
-  p.AddStr("baseline", &a.baseline,
-           "pinned inventory JSON for --check/--write-baseline (inventory)");
-  p.AddFlag("write-baseline", &a.write_baseline,
-            "regenerate the pinned --baseline file (inventory)");
-  return p;
-}
-
-Args Parse(int argc, char** argv) {
-  Args a;
-  if (std::strcmp(argv[1], "figures") == 0) a.trials = FigureOptions{}.trials;
-  ArgParser p = MakeParser(a);
-  if (!p.Parse(argc, argv, /*begin=*/2))
-    a.error = p.error();
-  else
-    a.positional = p.positional();
-  return a;
-}
-
-// Opens `path` for writing, exiting with a diagnostic on failure.
+// Opens `path` for writing, throwing on failure.
 std::ofstream OpenExport(const std::string& path) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot write " + path);
   return out;
 }
 
+// Writes an export with write(stream): nothing for an empty path, stdout
+// for "-", else the file `path`, noted on stderr as `what`.
+template <typename Write>
+void Export(const std::string& path, const std::string& what, Write write) {
+  if (path.empty()) return;
+  if (path == "-") return write(std::cout);
+  std::ofstream out = OpenExport(path);
+  write(out);
+  std::fprintf(stderr, "wrote %s to %s\n", what.c_str(), path.c_str());
+}
+
 // Loads a program: a workload name from the suite, or a .s assembly file.
 Program LoadProgram(const std::string& what, std::uint64_t iters) {
-  if (what.size() > 2 && what.substr(what.size() - 2) == ".s") {
-    std::ifstream in(what);
-    if (!in) throw std::runtime_error("cannot open " + what);
-    std::ostringstream src;
-    src << in.rdbuf();
-    return Assemble(src.str());
-  }
+  if (what.size() > 2 && what.substr(what.size() - 2) == ".s")
+    return Assemble(ReadFile(what));
   return BuildWorkload(WorkloadByName(what), iters);
 }
 
-// `tfi asmlint`: the static program lint, sharing LoadProgram's
-// workload-or-.s-file convention. Exit code = number of findings.
-int CmdAsmlint(const Args& a) {
-  std::vector<std::string> units = a.positional;
-  if (units.empty())
-    for (const auto& w : AllWorkloads()) units.push_back(w.name);
-
-  std::vector<analyze::AllowEntry> allow;
-  if (!a.allow.empty()) {
-    std::ifstream in(a.allow);
-    if (!in) throw std::runtime_error("cannot read " + a.allow);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    std::string error;
-    if (!analyze::ParseAllowlist(ss.str(), &allow, &error))
-      throw std::runtime_error(error);
-  }
-
-  std::optional<HardenMode> mode;
-  if (!a.harden.empty()) {
-    if (a.harden == "cfc") mode = HardenMode::kCfc;
-    else if (a.harden == "dup") mode = HardenMode::kDup;
-    else if (a.harden == "full") mode = HardenMode::kFull;
-    else throw std::runtime_error("unknown --harden mode: " + a.harden);
-  }
-
-  std::size_t total = 0;
-  for (const std::string& u : units) {
-    const std::size_t slash = u.find_last_of('/');
-    const std::string unit =
-        slash == std::string::npos ? u : u.substr(slash + 1);
-    const Program prog = LoadProgram(u, kCampaignIters);
-    if (a.dump) std::fputs(analyze::DisassembleProgram(prog).c_str(), stdout);
-    analyze::AsmLintOptions opt;
-    opt.unit = unit;
-    std::vector<analyze::AsmFinding> findings =
-        analyze::RunAsmLint(analyze::Lift(prog), allow, opt);
-    if (mode) {
-      const HardenedProgram hp = Harden(prog, *mode);
-      const auto hf = VerifyHardened(prog, hp.program, *mode,
-                                     unit + "+" + HardenModeName(*mode));
-      findings.insert(findings.end(), hf.begin(), hf.end());
-    }
-    for (const auto& f : findings)
-      std::fprintf(stderr, "%s\n", f.Format().c_str());
-    total += findings.size();
-  }
-  const auto unused = analyze::UnusedAllowFindings(allow);
-  for (const auto& f : unused)
-    std::fprintf(stderr, "%s\n", f.Format().c_str());
-  total += unused.size();
-  if (total == 0)
-    std::printf("asmlint: %zu unit(s) verified\n", units.size());
-  else
-    std::fprintf(stderr, "asmlint: %zu finding(s)\n", total);
-  return static_cast<int>(total);
+// The positional arguments, or every workload name when there are none.
+Args OrAllWorkloads(Args names) {
+  if (names.empty())
+    for (const auto& w : AllWorkloads()) names.push_back(w.name);
+  return names;
 }
 
-int CmdWorkloads() {
-  for (const auto& w : AllWorkloads())
-    std::printf("%-8s %s\n", w.name.c_str(), w.description.c_str());
-  return 0;
-}
+// --- run, exec -------------------------------------------------------------
 
-int CmdInventory(const Args& a) {
-  // Audit modes work on the canonical JSON (deterministic byte-for-byte, so
-  // it can be pinned as tools/inventory_baseline.json and diffed in review).
-  if (a.json || a.check || a.write_baseline) {
-    const std::string json = analyze::BuildInventoryJsonFromCores();
-    if (a.json) std::fputs(json.c_str(), stdout);
-    if (a.write_baseline) {
-      if (a.baseline.empty())
-        throw std::runtime_error("--write-baseline needs --baseline FILE");
-      auto out = OpenExport(a.baseline);
-      out << json;
-      std::fprintf(stderr, "wrote inventory baseline to %s\n",
-                   a.baseline.c_str());
-    }
-    if (a.check) {
-      if (a.baseline.empty())
-        throw std::runtime_error("inventory --check needs --baseline FILE");
-      std::ifstream in(a.baseline);
-      if (!in) throw std::runtime_error("cannot open " + a.baseline);
-      std::ostringstream pinned;
-      pinned << in.rdbuf();
-      std::string message;
-      if (!analyze::CheckInventoryBaseline(json, pinned.str(), &message)) {
-        std::fprintf(stderr, "tfi inventory: %s\n", message.c_str());
-        return 1;
-      }
-      std::printf("inventory matches %s\n", a.baseline.c_str());
-    }
-    return 0;
+struct RunFlags {
+  std::int64_t cycles = 200000;
+  std::int64_t iters = static_cast<std::int64_t>(kCampaignIters);
+  std::int64_t trace = 0;
+  bool check = false;
+  void Bind(ArgParser& p) {
+    p.AddInt("cycles", &cycles, "pipeline cycles to run per program");
+    p.AddInt("iters", &iters,
+             "workload iterations (default: the campaign build)");
+    p.AddInt("trace", &trace, "dump the last N pipeline cycles");
+    p.AddFlag("check", &check, "run with the per-cycle invariant checker");
   }
+};
+
+int CmdRun(const RunFlags& f, const Args& args) {
   CoreConfig cfg;
-  if (a.protect) cfg.protect = ProtectionConfig::All();
-  Core core(cfg, BuildWorkload(AllWorkloads()[0], kCampaignIters));
-  if (a.coverage) {
-    if (!a.protect)
-      std::fprintf(stderr,
-                   "note: --coverage without --protect shows what the "
-                   "mechanisms would leave uncovered in this build\n");
-    std::printf("%-16s %10s %10s %10s\n", "mechanism", "covered", "uncovered",
-                "check bits");
-    for (const auto& m :
-         analyze::ComputeProtectionCoverage(core.registry().Fields())) {
-      std::printf("%-16s %10llu %10llu %10llu\n", m.mechanism.c_str(),
-                  (unsigned long long)m.covered_bits,
-                  (unsigned long long)m.uncovered_bits,
-                  (unsigned long long)m.check_bits);
-      for (const auto& f : m.uncovered_fields)
-        std::printf("  uncovered: %s\n", f.c_str());
+  cfg.check_invariants = f.check;
+  int failures = 0;
+  for (const std::string& what : OrAllWorkloads(args)) {
+    check::Lockstep ls(cfg,
+                       LoadProgram(what, static_cast<std::uint64_t>(f.iters)),
+                       check::kDeadlockCycles);
+    for (std::int64_t c = 0; c < f.cycles; ++c) {
+      if (f.trace > 0 && c >= f.cycles - f.trace)
+        ls.core().DumpPipeline(std::cout);
+      if (!ls.Step()) break;
     }
-    return 0;
-  }
-  std::printf("%-14s %10s %10s\n", "category", "latch bits", "RAM bits");
-  std::uint64_t lt = 0, rt = 0;
-  for (int c = 0; c < kNumStateCats; ++c) {
-    const auto inv = core.registry().Inventory(static_cast<StateCat>(c));
-    if (inv.latch_bits + inv.ram_bits == 0) continue;
-    lt += inv.latch_bits;
-    rt += inv.ram_bits;
-    std::printf("%-14s %10llu %10llu\n",
-                StateCatName(static_cast<StateCat>(c)),
-                (unsigned long long)inv.latch_bits,
-                (unsigned long long)inv.ram_bits);
-  }
-  std::printf("%-14s %10llu %10llu\n", "total", (unsigned long long)lt,
-              (unsigned long long)rt);
-  return 0;
-}
-
-int CmdVersion() {
-  std::printf("tfi (transient-fault-injection toolkit)\n");
-  std::printf("  sanitizer: %s\n", TFI_SANITIZE_NAME);
-#ifdef NDEBUG
-  std::printf("  assertions: off\n");
-#else
-  std::printf("  assertions: on\n");
-#endif
-  return 0;
-}
-
-int CmdRun(const Args& a) {
-  const Program prog = LoadProgram(a.positional.at(0), a.iters);
-  Core core(CoreConfig{}, prog);
-  for (std::int64_t c = 0; c < a.cycles && !core.exited(); ++c) {
-    if (a.trace > 0 && c >= a.cycles - a.trace) core.DumpPipeline(std::cout);
-    core.Cycle();
-    if (core.halted_exception() != Exception::kNone) {
-      std::printf("exception: %s\n", ExceptionName(core.halted_exception()));
-      return 1;
+    const Core& core = ls.core();
+    const CoreStats& st = core.stats();
+    std::printf(
+        "[%-7s] %s: cycles=%llu retired=%llu IPC=%.2f bp=%.1f%% "
+        "d$miss=%llu mispredicts=%llu flushes=%llu replays=%llu "
+        "order-violations=%llu%s\n",
+        what.c_str(), ls.ok() ? "OK" : "FAIL", (unsigned long long)st.cycles,
+        (unsigned long long)st.retired, st.Ipc(),
+        st.branches
+            ? 100.0 * (1.0 - (double)st.mispredicts / (double)st.branches)
+            : 0.0,
+        (unsigned long long)st.dcache_misses,
+        (unsigned long long)st.mispredicts,
+        (unsigned long long)st.full_flushes, (unsigned long long)st.replays,
+        (unsigned long long)st.order_violations,
+        ls.exited() ? " [exited]" : "");
+    if (!ls.ok()) {
+      std::printf("  %s\n", ls.Failure().c_str());
+      ++failures;
+    }
+    if (!core.output().empty()) {
+      std::printf("  output (%zu bytes):", core.output().size());
+      for (std::size_t i = 0; i < core.output().size() && i < 32; ++i)
+        std::printf(" %02x", core.output()[i]);
+      std::printf("\n");
     }
   }
-  const auto& st = core.stats();
-  std::printf(
-      "cycles=%llu retired=%llu IPC=%.2f bp=%.1f%% d$miss=%llu "
-      "mispredicts=%llu flushes=%llu%s\n",
-      (unsigned long long)st.cycles, (unsigned long long)st.retired, st.Ipc(),
-      st.branches ? 100.0 * (1.0 - (double)st.mispredicts / (double)st.branches) : 0.0,
-      (unsigned long long)st.dcache_misses,
-      (unsigned long long)st.mispredicts,
-      (unsigned long long)st.full_flushes,
-      core.exited() ? " [exited]" : "");
-  if (!core.output().empty()) {
-    std::printf("output (%zu bytes):", core.output().size());
-    for (std::size_t i = 0; i < core.output().size() && i < 32; ++i)
-      std::printf(" %02x", core.output()[i]);
-    std::printf("\n");
-  }
-  return 0;
+  return failures;
 }
 
-int CmdExec(const Args& a) {
-  const Program prog = LoadProgram(a.positional.at(0), a.iters);
+struct ExecFlags {
+  std::int64_t iters = 4;
+  void Bind(ArgParser& p) { p.AddInt("iters", &iters, "workload iterations"); }
+};
+
+int CmdExec(const ExecFlags& f, const Args& args) {
+  const Program prog =
+      LoadProgram(args[0], static_cast<std::uint64_t>(f.iters));
   FunctionalSim sim(prog);
   sim.Run(1ULL << 33);
   std::printf("instructions=%llu %s exit=%llu output=%zu bytes\n",
@@ -402,40 +171,103 @@ int CmdExec(const Args& a) {
   return sim.state().exited ? 0 : 1;
 }
 
-int CmdCampaign(const Args& a) {
+// --- campaign, sweep -------------------------------------------------------
+
+// What to inject and how to run the trials: the flags campaign and sweep
+// share.
+struct InjectFlags {
+  std::int64_t trials = 300;
+  std::int64_t flips = 1;
+  std::int64_t jobs = 1;
+  // 0 = the GoldenSpec default. GoldenSpec::window is the single source of
+  // truth downstream (trial classification, fast-path planning, cache key).
+  std::int64_t window = 0;
+  bool latches_only = false;
+  bool protect = false;
+  bool adjacent = false;
+  bool no_fast_path = false;
+  bool progress = false;
+  bool check = false;
+
+  void Bind(ArgParser& p) {
+    p.AddInt("trials", &trials, "injection trials");
+    p.AddFlag("latches-only", &latches_only, "inject latches only, not RAMs");
+    p.AddFlag("protect", &protect,
+              "enable the Section 4 protection mechanisms");
+    p.AddInt("flips", &flips, "bits flipped per trial");
+    p.AddFlag("adjacent", &adjacent, "extra flips hit adjacent bits");
+    p.AddInt("jobs", &jobs,
+             "trial-loop worker threads; 0 = all hardware threads");
+    p.AddInt("window", &window,
+             "trial observation window in cycles; 0 = default 10000 (part "
+             "of the results-cache key)");
+    p.AddFlag("no-fast-path", &no_fast_path,
+              "replay every trial from its checkpoint instead");
+    p.AddFlag("progress", &progress, "periodic trials/sec progress lines");
+    p.AddFlag("check", &check,
+              "run trials with the per-cycle invariant checker; violations "
+              "quarantine the trial (bypasses the results cache)");
+  }
+
+  CampaignOptions Options() const {
+    CampaignOptions opt;
+    opt.jobs = static_cast<int>(jobs);
+    opt.obs.progress = progress;
+    opt.check_invariants = check;
+    opt.fast_path = !no_fast_path;
+    return opt;
+  }
+};
+
+struct CampaignFlags : InjectFlags {
+  std::string metrics_json;
+  std::string prop_trace;
+  std::string chrome_trace;
+  std::string events_jsonl;
+  std::string heatmap_json;
+  std::string heatmap_csv;
+
+  void Bind(ArgParser& p) {
+    InjectFlags::Bind(p);
+    p.AddStr("metrics-json", &metrics_json, "metrics registry export path");
+    p.AddStr("prop-trace", &prop_trace, "propagation-trace JSONL path");
+    p.AddStr("chrome-trace", &chrome_trace,
+             "chrome trace-event export path");
+    p.AddStr("events-jsonl", &events_jsonl,
+             "structured campaign event journal path (JSONL)");
+    p.AddStr("heatmap-json", &heatmap_json,
+             "per-field vulnerability heatmap JSON path");
+    p.AddStr("heatmap-csv", &heatmap_csv,
+             "per-field vulnerability heatmap CSV path");
+  }
+};
+
+int CmdCampaign(const CampaignFlags& f, const Args& args) {
   CampaignSpec spec;
-  spec.workload = a.positional.at(0);
-  spec.trials = static_cast<int>(a.trials);
-  spec.include_ram = !a.latches_only;
-  spec.flips = static_cast<int>(a.flips);
-  spec.adjacent = a.adjacent;
-  if (a.protect) spec.core.protect = ProtectionConfig::All();
-  // Observation window: flag wins, then TFI_WINDOW, then the GoldenSpec
-  // default. GoldenSpec::window is the single source of truth downstream
-  // (trial classification, fast-path planning, the cache key).
-  const std::int64_t window = a.window > 0 ? a.window : EnvInt("TFI_WINDOW", 0);
-  if (window > 0) spec.golden.window = static_cast<std::uint64_t>(window);
+  spec.workload = args[0];
+  spec.trials = static_cast<int>(f.trials);
+  spec.include_ram = !f.latches_only;
+  spec.flips = static_cast<int>(f.flips);
+  spec.adjacent = f.adjacent;
+  if (f.protect) spec.core.protect = ProtectionConfig::All();
+  if (f.window > 0) spec.golden.window = static_cast<std::uint64_t>(f.window);
 
   // Observability: attach only the sinks whose export files were requested.
   obs::MetricsRegistry metrics;
   obs::ChromeTraceWriter chrome;
-  CampaignOptions opt;
-  opt.jobs = static_cast<int>(a.jobs);
-  if (!a.metrics_json.empty()) opt.obs.sinks.metrics = &metrics;
-  if (!a.chrome_trace.empty()) opt.obs.sinks.chrome = &chrome;
-  opt.obs.collect_prop_traces = !a.prop_trace.empty();
-  opt.obs.progress = a.progress;
-  opt.check_invariants = a.check;
-  opt.fast_path = !a.no_fast_path;
+  CampaignOptions opt = f.Options();
+  if (!f.metrics_json.empty()) opt.obs.sinks.metrics = &metrics;
+  if (!f.chrome_trace.empty()) opt.obs.sinks.chrome = &chrome;
+  opt.obs.collect_prop_traces = !f.prop_trace.empty();
 
   // Event journal feeding the JSONL file sink (--progress attaches its own
   // consumer inside the campaign).
   obs::EventJournal journal;
   std::ofstream events_out;
   std::optional<obs::JsonlEventSink> events_sink;
-  if (!a.events_jsonl.empty()) {
+  if (!f.events_jsonl.empty()) {
     opt.obs.events = &journal;
-    events_out = OpenExport(a.events_jsonl);
+    events_out = OpenExport(f.events_jsonl);
     events_sink.emplace(events_out);
     journal.AddSink(&*events_sink);
   }
@@ -446,43 +278,25 @@ int CmdCampaign(const Args& a) {
   if (events_sink) {
     journal.RemoveSink(&*events_sink);
     std::fprintf(stderr, "wrote %llu events to %s\n",
-                 (unsigned long long)journal.emitted(), a.events_jsonl.c_str());
+                 (unsigned long long)journal.emitted(), f.events_jsonl.c_str());
   }
 
-  if (!a.heatmap_json.empty() || !a.heatmap_csv.empty()) {
+  if (!f.heatmap_json.empty() || !f.heatmap_csv.empty()) {
     const obs::VulnerabilityHeatmap hm = BuildHeatmap(r);
-    if (!a.heatmap_json.empty()) {
-      auto out = OpenExport(a.heatmap_json);
-      hm.WriteJson(out, spec.workload);
-      std::fprintf(stderr, "wrote heatmap (%zu fields) to %s\n",
-                   hm.cells().size(), a.heatmap_json.c_str());
-    }
-    if (!a.heatmap_csv.empty()) {
-      auto out = OpenExport(a.heatmap_csv);
-      hm.WriteCsv(out);
-      std::fprintf(stderr, "wrote heatmap CSV to %s\n", a.heatmap_csv.c_str());
-    }
+    Export(f.heatmap_json,
+           "heatmap (" + std::to_string(hm.cells().size()) + " fields)",
+           [&](std::ostream& out) { hm.WriteJson(out, spec.workload); });
+    Export(f.heatmap_csv, "heatmap CSV",
+           [&](std::ostream& out) { hm.WriteCsv(out); });
   }
-
-  if (!a.metrics_json.empty()) {
-    auto out = OpenExport(a.metrics_json);
-    metrics.WriteJson(out);
-    std::fprintf(stderr, "wrote metrics to %s\n", a.metrics_json.c_str());
-  }
-  if (!a.prop_trace.empty()) {
-    auto out = OpenExport(a.prop_trace);
-    WritePropTraceJsonl(r, out);
-    std::fprintf(stderr, "wrote %zu propagation traces to %s\n",
-                 r.prop_traces.size(), a.prop_trace.c_str());
-  }
-  if (!a.chrome_trace.empty()) {
-    auto out = OpenExport(a.chrome_trace);
-    chrome.WriteTo(out);
-    std::fprintf(stderr,
-                 "wrote chrome trace to %s (open in https://ui.perfetto.dev "
-                 "or chrome://tracing)\n",
-                 a.chrome_trace.c_str());
-  }
+  Export(f.metrics_json, "metrics",
+         [&](std::ostream& out) { metrics.WriteJson(out); });
+  Export(f.prop_trace,
+         std::to_string(r.prop_traces.size()) + " propagation traces",
+         [&](std::ostream& out) { WritePropTraceJsonl(r, out); });
+  Export(f.chrome_trace,
+         "chrome trace (open in https://ui.perfetto.dev or chrome://tracing)",
+         [&](std::ostream& out) { chrome.WriteTo(out); });
 
   const auto o = r.ByOutcome();
   const double n = static_cast<double>(r.trials.size());
@@ -504,12 +318,89 @@ int CmdCampaign(const Args& a) {
   return 0;
 }
 
-int CmdSoft(const Args& a) {
+struct SweepFlags : InjectFlags {
+  std::string suite = "default";
+  std::string axis;
+  std::string sweep_json;
+  std::string sweep_csv;
+  bool json = false;
+
+  void Bind(ArgParser& p) {
+    InjectFlags::Bind(p);
+    p.AddStr("suite", &suite,
+             "geometry suite: default (all axes) or smoke (3 points)");
+    p.AddStr("axis", &axis,
+             "restrict the sweep to one axis: rob, sched, lsq, pregs, width");
+    p.AddStr("sweep-json", &sweep_json,
+             "vulnerability-vs-utilization curves JSON path; '-' = stdout");
+    p.AddStr("sweep-csv", &sweep_csv,
+             "per-point per-structure CSV path; '-' = stdout");
+    p.AddFlag("json", &json, "sweep curves JSON on stdout");
+  }
+};
+
+// tfi sweep [workload] — geometry sensitivity sweep. Expands --suite
+// (optionally restricted to --axis) into per-point campaigns run through the
+// ordinary machinery, so the per-point results cache (a rerun skips the
+// points already cached) and byte-identical records at any --jobs value
+// carry over. The exports
+// join per-structure failure rates with golden-run occupancy into
+// vulnerability-vs-utilization curves.
+int CmdSweep(const SweepFlags& f, const Args& args) {
+  SweepSpec spec;
+  if (!args.empty()) spec.workload = args[0];
+  spec.suite = f.suite;
+  spec.trials = static_cast<int>(f.trials);
+  spec.include_ram = !f.latches_only;
+  spec.flips = static_cast<int>(f.flips);
+  spec.adjacent = f.adjacent;
+  if (f.protect) spec.base.protect = ProtectionConfig::All();
+  if (f.window > 0) spec.golden.window = static_cast<std::uint64_t>(f.window);
+
+  const SweepResult r = RunSweep(spec, f.axis, f.Options());
+
+  const std::string json =
+      f.json && f.sweep_json.empty() ? std::string("-") : f.sweep_json;
+  Export(json, "sweep curves (" + std::to_string(r.points.size()) + " points)",
+         [&](std::ostream& out) { WriteSweepJson(r, out); });
+  Export(f.sweep_csv, "sweep CSV",
+         [&](std::ostream& out) { WriteSweepCsv(r, out); });
+  if (json.empty() && f.sweep_csv.empty()) {
+    std::printf("suite=%s%s%s workload=%s trials/point=%d sanitizer=%s\n",
+                spec.suite.c_str(), f.axis.empty() ? "" : " axis=",
+                f.axis.c_str(), spec.workload.c_str(), spec.trials,
+                TFI_SANITIZE_NAME);
+    for (const SweepPointResult& p : r.points) {
+      std::printf("  %-10s ipc=%.2f failures=%5.1f%%%s\n",
+                  p.point.label.c_str(), p.golden_ipc, 100.0 * p.failure_rate,
+                  p.from_cache ? "  (cached)" : "");
+      for (const StructureCell& c : p.structures)
+        if (c.utilization >= 0.0)
+          std::printf("    %-6s util=%5.1f%% vuln=%5.1f%% trials=%llu\n",
+                      c.structure.c_str(), 100.0 * c.utilization,
+                      100.0 * c.vulnerability, (unsigned long long)c.trials);
+    }
+  }
+  return 0;
+}
+
+// --- soft, figures ---------------------------------------------------------
+
+struct SoftFlags {
+  std::int64_t trials = 300;
+  std::int64_t iters = 8;
+  void Bind(ArgParser& p) {
+    p.AddInt("trials", &trials, "Section 5 trials");
+    p.AddInt("iters", &iters, "workload iterations");
+  }
+};
+
+int CmdSoft(const SoftFlags& f, const Args& args) {
   SoftCampaignSpec spec;
-  spec.workload = a.positional.at(0);
-  spec.trials = static_cast<int>(a.trials);
-  spec.iters = static_cast<std::uint64_t>(a.iters > 4 ? a.iters : 8);
-  const std::string model = a.positional.at(1);
+  spec.workload = args[0];
+  spec.trials = static_cast<int>(f.trials);
+  spec.iters = static_cast<std::uint64_t>(f.iters);
+  const std::string& model = args[1];
   bool found = false;
   for (int m = 0; m < kNumSoftFaultModels; ++m) {
     if (model == SoftFaultModelName(static_cast<SoftFaultModel>(m))) {
@@ -531,94 +422,471 @@ int CmdSoft(const Args& a) {
   return 0;
 }
 
-// tfi sweep [workload] — geometry sensitivity sweep. Expands --suite
-// (optionally restricted to --axis) into per-point campaigns run through the
-// ordinary machinery, so the per-point results cache (a rerun skips the
-// points already cached) and byte-identical records at any --jobs value
-// carry over. The exports
-// join per-structure failure rates with golden-run occupancy into
-// vulnerability-vs-utilization curves.
-int CmdSweep(const Args& a) {
-  SweepSpec spec;
-  if (!a.positional.empty()) spec.workload = a.positional[0];
-  spec.suite = a.suite;
-  spec.trials = static_cast<int>(a.trials);
-  spec.include_ram = !a.latches_only;
-  spec.flips = static_cast<int>(a.flips);
-  spec.adjacent = a.adjacent;
-  if (a.protect) spec.base.protect = ProtectionConfig::All();
-  const std::int64_t window = a.window > 0 ? a.window : EnvInt("TFI_WINDOW", 0);
-  if (window > 0) spec.golden.window = static_cast<std::uint64_t>(window);
-
-  CampaignOptions opt;
-  opt.jobs = static_cast<int>(a.jobs);
-  opt.obs.progress = a.progress;
-  opt.check_invariants = a.check;
-  opt.fast_path = !a.no_fast_path;
-
-  const SweepResult r = RunSweep(spec, a.axis, opt);
-
-  bool exported = false;
-  if (!a.sweep_json.empty() || a.json) {
-    if (a.sweep_json.empty() || a.sweep_json == "-") {
-      WriteSweepJson(r, std::cout);
-    } else {
-      auto out = OpenExport(a.sweep_json);
-      WriteSweepJson(r, out);
-      std::fprintf(stderr, "wrote sweep curves (%zu points) to %s\n",
-                   r.points.size(), a.sweep_json.c_str());
-    }
-    exported = true;
+struct FiguresFlags {
+  std::int64_t trials = FigureOptions{}.trials;
+  std::int64_t points = FigureOptions{}.points;
+  std::int64_t soft_trials = FigureOptions{}.soft_trials;
+  std::int64_t jobs = FigureOptions{}.jobs;
+  bool progress = false;
+  std::string metrics_json;
+  void Bind(ArgParser& p) {
+    p.AddInt("trials", &trials, "injection trials per workload");
+    p.AddInt("points", &points, "checkpoints (start points) per golden run");
+    p.AddInt("soft-trials", &soft_trials,
+             "Section 5 trials per workload per fault model");
+    p.AddInt("jobs", &jobs,
+             "trial-loop worker threads; 0 = all hardware threads");
+    p.AddFlag("progress", &progress, "per-campaign progress lines");
+    p.AddStr("metrics-json", &metrics_json, "metrics registry export path");
   }
-  if (!a.sweep_csv.empty()) {
-    if (a.sweep_csv == "-") {
-      WriteSweepCsv(r, std::cout);
-    } else {
-      auto out = OpenExport(a.sweep_csv);
-      WriteSweepCsv(r, out);
-      std::fprintf(stderr, "wrote sweep CSV to %s\n", a.sweep_csv.c_str());
-    }
-    exported = true;
+};
+
+int CmdFigures(const FiguresFlags& f, const Args& args) {
+  FigureOptions o;
+  o.trials = static_cast<int>(f.trials);
+  o.points = static_cast<int>(f.points);
+  o.soft_trials = static_cast<int>(f.soft_trials);
+  o.jobs = static_cast<int>(f.jobs);
+  o.progress = f.progress;
+  o.metrics_json = f.metrics_json;
+  return RunFigures(args, o);
+}
+
+// --- inventory, asmlint, statelint -----------------------------------------
+
+struct InventoryFlags {
+  bool protect = false;
+  bool json = false;
+  bool coverage = false;
+  bool check = false;
+  bool write_baseline = false;
+  std::string baseline;
+  void Bind(ArgParser& p) {
+    p.AddFlag("protect", &protect,
+              "enable the Section 4 protection mechanisms");
+    p.AddFlag("json", &json, "emit the canonical audit JSON");
+    p.AddFlag("coverage", &coverage,
+              "per-mechanism protection coverage table");
+    p.AddFlag("check", &check,
+              "compare against --baseline and fail on drift");
+    p.AddStr("baseline", &baseline,
+             "pinned inventory JSON for --check/--write-baseline");
+    p.AddFlag("write-baseline", &write_baseline,
+              "regenerate the pinned --baseline file");
   }
-  if (!exported) {
-    std::printf("suite=%s%s%s workload=%s trials/point=%d sanitizer=%s\n",
-                spec.suite.c_str(), a.axis.empty() ? "" : " axis=",
-                a.axis.c_str(), spec.workload.c_str(), spec.trials,
-                TFI_SANITIZE_NAME);
-    for (const SweepPointResult& p : r.points) {
-      std::printf("  %-10s ipc=%.2f failures=%5.1f%%%s\n",
-                  p.point.label.c_str(), p.golden_ipc, 100.0 * p.failure_rate,
-                  p.from_cache ? "  (cached)" : "");
-      for (const StructureCell& c : p.structures)
-        if (c.utilization >= 0.0)
-          std::printf("    %-6s util=%5.1f%% vuln=%5.1f%% trials=%llu\n",
-                      c.structure.c_str(), 100.0 * c.utilization,
-                      100.0 * c.vulnerability, (unsigned long long)c.trials);
+};
+
+int CmdInventory(const InventoryFlags& f, const Args&) {
+  // Audit modes work on the canonical JSON (deterministic byte-for-byte, so
+  // it can be pinned as tools/inventory_baseline.json and diffed in review).
+  if (f.json || f.check || f.write_baseline) {
+    const std::string json = analyze::BuildInventoryJsonFromCores();
+    if (f.json) std::fputs(json.c_str(), stdout);
+    if (f.write_baseline) {
+      if (f.baseline.empty())
+        throw std::runtime_error("--write-baseline needs --baseline FILE");
+      auto out = OpenExport(f.baseline);
+      out << json;
+      std::fprintf(stderr, "wrote inventory baseline to %s\n",
+                   f.baseline.c_str());
     }
+    if (f.check) {
+      if (f.baseline.empty())
+        throw std::runtime_error("inventory --check needs --baseline FILE");
+      std::string message;
+      if (!analyze::CheckInventoryBaseline(json, ReadFile(f.baseline),
+                                           &message)) {
+        std::fprintf(stderr, "tfi inventory: %s\n", message.c_str());
+        return 1;
+      }
+      std::printf("inventory matches %s\n", f.baseline.c_str());
+    }
+    return 0;
   }
+  CoreConfig cfg;
+  if (f.protect) cfg.protect = ProtectionConfig::All();
+  Core core(cfg, BuildWorkload(AllWorkloads()[0], kCampaignIters));
+  if (f.coverage) {
+    if (!f.protect)
+      std::fprintf(stderr,
+                   "note: --coverage without --protect shows what the "
+                   "mechanisms would leave uncovered in this build\n");
+    std::printf("%-16s %10s %10s %10s\n", "mechanism", "covered", "uncovered",
+                "check bits");
+    for (const auto& m :
+         analyze::ComputeProtectionCoverage(core.registry().Fields())) {
+      std::printf("%-16s %10llu %10llu %10llu\n", m.mechanism.c_str(),
+                  (unsigned long long)m.covered_bits,
+                  (unsigned long long)m.uncovered_bits,
+                  (unsigned long long)m.check_bits);
+      for (const auto& u : m.uncovered_fields)
+        std::printf("  uncovered: %s\n", u.c_str());
+    }
+    return 0;
+  }
+  std::printf("%-14s %10s %10s\n", "category", "latch bits", "RAM bits");
+  std::uint64_t lt = 0, rt = 0;
+  for (int c = 0; c < kNumStateCats; ++c) {
+    const auto inv = core.registry().Inventory(static_cast<StateCat>(c));
+    if (inv.latch_bits + inv.ram_bits == 0) continue;
+    lt += inv.latch_bits;
+    rt += inv.ram_bits;
+    std::printf("%-14s %10llu %10llu\n",
+                StateCatName(static_cast<StateCat>(c)),
+                (unsigned long long)inv.latch_bits,
+                (unsigned long long)inv.ram_bits);
+  }
+  std::printf("%-14s %10llu %10llu\n", "total", (unsigned long long)lt,
+              (unsigned long long)rt);
   return 0;
 }
 
-int CmdFigures(const Args& a) {
-  FigureOptions o;
-  o.trials = static_cast<int>(a.trials);
-  o.points = static_cast<int>(a.points);
-  o.soft_trials = static_cast<int>(a.soft_trials);
-  o.jobs = static_cast<int>(a.jobs);
-  o.progress = a.progress;
-  o.metrics_json = a.metrics_json;
-  return RunFigures(a.positional, o);
+// Reads an allowlist of audited exceptions (analyze/statelint.h).
+std::vector<analyze::AllowEntry> LoadAllowlist(const std::string& path) {
+  std::vector<analyze::AllowEntry> allow;
+  std::string error;
+  if (!path.empty() &&
+      !analyze::ParseAllowlist(ReadFile(path), &allow, &error))
+    throw std::runtime_error(error);
+  return allow;
 }
 
+struct AsmlintFlags {
+  std::string allow;
+  std::string harden;
+  bool dump = false;
+  void Bind(ArgParser& p) {
+    p.AddStr("allow", &allow, "allowlist of audited exceptions");
+    p.AddStr("harden", &harden,
+             "also verify the hardened variant: cfc, dup or full");
+    p.AddFlag("dump", &dump, "print each unit's lifted disassembly");
+  }
+};
+
+// `tfi asmlint`: the static program lint, sharing LoadProgram's
+// workload-or-.s-file convention. Exit code = number of findings.
+int CmdAsmlint(const AsmlintFlags& f, const Args& args) {
+  const Args units = OrAllWorkloads(args);
+  std::vector<analyze::AllowEntry> allow = LoadAllowlist(f.allow);
+
+  std::optional<HardenMode> mode;
+  if (!f.harden.empty()) {
+    if (f.harden == "cfc") mode = HardenMode::kCfc;
+    else if (f.harden == "dup") mode = HardenMode::kDup;
+    else if (f.harden == "full") mode = HardenMode::kFull;
+    else throw std::runtime_error("unknown --harden mode: " + f.harden);
+  }
+
+  std::size_t total = 0;
+  for (const std::string& u : units) {
+    const std::size_t slash = u.find_last_of('/');
+    const std::string unit =
+        slash == std::string::npos ? u : u.substr(slash + 1);
+    const Program prog = LoadProgram(u, kCampaignIters);
+    if (f.dump) std::fputs(analyze::DisassembleProgram(prog).c_str(), stdout);
+    analyze::AsmLintOptions opt;
+    opt.unit = unit;
+    std::vector<analyze::AsmFinding> findings =
+        analyze::RunAsmLint(analyze::Lift(prog), allow, opt);
+    if (mode) {
+      const HardenedProgram hp = Harden(prog, *mode);
+      const auto hf = VerifyHardened(prog, hp.program, *mode,
+                                     unit + "+" + HardenModeName(*mode));
+      findings.insert(findings.end(), hf.begin(), hf.end());
+    }
+    for (const auto& finding : findings)
+      std::fprintf(stderr, "%s\n", finding.Format().c_str());
+    total += findings.size();
+  }
+  const auto unused = analyze::UnusedAllowFindings(allow);
+  for (const auto& finding : unused)
+    std::fprintf(stderr, "%s\n", finding.Format().c_str());
+  total += unused.size();
+  if (total == 0)
+    std::printf("asmlint: %zu unit(s) verified\n", units.size());
+  else
+    std::fprintf(stderr, "asmlint: %zu finding(s)\n", total);
+  return static_cast<int>(total);
+}
+
+struct StatelintFlags {
+  std::string src;
+  std::string allow;
+  bool no_runtime = false;
+  bool list = false;
+  void Bind(ArgParser& p) {
+    p.AddStr("src", &src, "directory of pipeline sources to lint (required)");
+    p.AddStr("allow", &allow, "allowlist of audited exceptions");
+    p.AddFlag("no-runtime", &no_runtime,
+              "skip the live-registry cross-check (pure static run)");
+    p.AddFlag("list", &list, "dump the extracted classes and allocations");
+  }
+};
+
+void ListCppModel(const analyze::CppModel& model) {
+  for (const analyze::CppClass& c : model.classes) {
+    std::printf("class %s (%s:%d)%s\n", c.name.c_str(), c.file.c_str(), c.line,
+                c.registry_ctor ? " [registry ctor]" : "");
+    for (const analyze::CppMember& m : c.members)
+      std::printf("  %-24s %s%s%s%s\n", m.name.c_str(), m.type.c_str(),
+                  m.is_state_field ? " [field]" : "",
+                  m.is_static ? " [static]" : "",
+                  m.is_const ? " [const]" : "");
+  }
+  for (const analyze::CppAllocation& a : model.allocations)
+    std::printf("alloc %-28s %s.%s cat=%s storage=%s count=%s width=%s\n",
+                (a.name_is_suffix ? "*" + a.reg_name : a.reg_name).c_str(),
+                a.class_name.c_str(), a.member.c_str(), a.cat.c_str(),
+                a.storage.c_str(), a.count_expr.c_str(), a.width_expr.c_str());
+}
+
+// `tfi statelint`: every mutable member of a registry-backed class under
+// --src must be a registered StateField or an audited allowlist exception;
+// registered fields must be read back and sanely classified. Exit code =
+// number of findings; 2 when the run itself cannot be made.
+int CmdStatelint(const StatelintFlags& f, const Args&) {
+  if (f.src.empty()) {
+    std::fprintf(stderr, "tfi statelint: --src DIR is required\n");
+    return 2;
+  }
+  try {
+    std::vector<std::string> sources;
+    for (const auto& entry : std::filesystem::directory_iterator(f.src)) {
+      const std::string ext = entry.path().extension().string();
+      if (entry.is_regular_file() &&
+          (ext == ".h" || ext == ".cpp" || ext == ".cc" || ext == ".hpp"))
+        sources.push_back(entry.path().string());
+    }
+    std::sort(sources.begin(), sources.end());
+    if (sources.empty()) {
+      std::fprintf(stderr, "statelint: no sources under %s\n", f.src.c_str());
+      return 2;
+    }
+    const analyze::CppModel model = analyze::ParseCppFiles(sources);
+    std::vector<analyze::AllowEntry> allow = LoadAllowlist(f.allow);
+    if (f.list) ListCppModel(model);
+
+    analyze::LintOptions opt;
+    std::vector<StateRegistry::FieldInfo> runtime;
+    if (!f.no_runtime) {
+      // Fully-protected configuration so conditionally-allocated fields
+      // (parity, ECC, timeout counter) are present for the cross-check.
+      CoreConfig cfg;
+      cfg.protect = ProtectionConfig::All();
+      const Core core(cfg, Program{});
+      runtime = core.registry().Fields();
+      opt.runtime_fields = &runtime;
+    }
+
+    const std::vector<analyze::Finding> findings =
+        analyze::RunStateLint(model, allow, opt);
+    for (const analyze::Finding& finding : findings)
+      std::fprintf(stderr, "%s\n", finding.Format().c_str());
+    if (findings.empty())
+      std::printf(
+          "statelint: %zu classes, %zu allocations, %zu allowlisted "
+          "exceptions — injection surface verified\n",
+          model.classes.size(), model.allocations.size(), allow.size());
+    else
+      std::fprintf(stderr, "statelint: %zu finding(s)\n", findings.size());
+    return static_cast<int>(findings.size());
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "statelint: %s\n", e.what());
+    return 2;
+  }
+}
+
+// --- fuzz ------------------------------------------------------------------
+
+struct FuzzFlags {
+  std::int64_t seeds = 25;
+  std::int64_t seed_base = 0;
+  std::int64_t cycles = check::FuzzRunOptions{}.cycles;
+  std::string shape;
+  // Core geometry overrides (0 = keep the CoreConfig default), so the
+  // differential fuzzer exercises non-default shapes too.
+  std::int64_t rob = 0, sched = 0, lq = 0, sq = 0, pregs = 0;
+  bool no_check = false;
+  bool no_shrink = false;
+  bool print = false;
+  bool quiet = false;
+  void Bind(ArgParser& p) {
+    p.AddInt("seeds", &seeds, "seeds per shape");
+    p.AddInt("seed-base", &seed_base, "first seed value");
+    p.AddInt("cycles", &cycles, "lockstep cycles per case");
+    p.AddStr("shape", &shape, "only this shape (mixed|alu|store|branch|mem)");
+    p.AddInt("rob", &rob, "ROB entries (0 = default)");
+    p.AddInt("sched", &sched, "scheduler entries (0 = default)");
+    p.AddInt("lq", &lq, "load-queue entries (0 = default)");
+    p.AddInt("sq", &sq, "store-queue entries (0 = default)");
+    p.AddInt("pregs", &pregs, "physical registers (0 = default)");
+    p.AddFlag("no-check", &no_check, "disable the invariant checker");
+    p.AddFlag("no-shrink", &no_shrink, "skip shrinking failing cases");
+    p.AddFlag("print", &print, "echo each generated program");
+    p.AddFlag("quiet", &quiet, "only report failures and the final tally");
+  }
+};
+
+// `tfi fuzz`: generates --seeds random trap-free programs per shape, runs
+// each in lockstep with the invariant checker on, and greedily shrinks any
+// failing case before printing it. Exit code = number of failing cases.
+int CmdFuzz(const FuzzFlags& f, const Args&) {
+  std::vector<check::FuzzShape> shapes;
+  if (f.shape.empty()) {
+    shapes = check::AllFuzzShapes();
+  } else if (const auto sh = check::FuzzShapeFromName(f.shape)) {
+    shapes = {*sh};
+  } else {
+    std::fprintf(stderr, "unknown --shape '%s' (mixed|alu|store|branch|mem)\n",
+                 f.shape.c_str());
+    return 2;
+  }
+
+  check::FuzzRunOptions opt;
+  opt.cycles = static_cast<std::uint64_t>(f.cycles);
+  CoreConfig& geo = opt.core;
+  geo.check_invariants = !f.no_check;
+  if (f.rob > 0) geo.rob_entries = static_cast<int>(f.rob);
+  if (f.sched > 0) geo.sched_entries = static_cast<int>(f.sched);
+  if (f.lq > 0) geo.lq_entries = static_cast<int>(f.lq);
+  if (f.sq > 0) geo.sq_entries = static_cast<int>(f.sq);
+  if (f.pregs > 0) geo.phys_regs = static_cast<int>(f.pregs);
+  if (const std::vector<ConfigIssue> issues = geo.Validate();
+      !issues.empty()) {
+    for (const ConfigIssue& i : issues)
+      std::fprintf(stderr, "fuzz: invalid geometry: %s: %s\n",
+                   i.field.c_str(), i.message.c_str());
+    return 2;
+  }
+
+  int failures = 0;
+  std::uint64_t total_retired = 0;
+  int cases = 0;
+  const std::int64_t seeds = std::max<std::int64_t>(f.seeds, 1);
+  for (const check::FuzzShape sh : shapes) {
+    for (std::int64_t s = 0; s < seeds; ++s) {
+      const long long label = static_cast<long long>(f.seed_base + s);
+      const std::uint64_t seed =
+          static_cast<std::uint64_t>(label) * 0x9E3779B97F4A7C15ULL + 17;
+      const check::FuzzProgram prog = check::GenerateFuzzProgram(seed, sh);
+      if (f.print)
+        std::printf("--- shape=%s seed=%lld ---\n%s\n",
+                    check::FuzzShapeName(sh), label, prog.Source().c_str());
+      const check::FuzzCaseResult r = check::RunLockstep(prog.Source(), opt);
+      ++cases;
+      total_retired += r.retired;
+      if (r.ok) {
+        if (!f.quiet)
+          std::printf("[%-6s seed %4lld] ok: %llu retires compared\n",
+                      check::FuzzShapeName(sh), label,
+                      (unsigned long long)r.retired);
+        continue;
+      }
+      ++failures;
+      std::printf("[%-6s seed %4lld] FAIL: %s\n", check::FuzzShapeName(sh),
+                  label, r.failure.c_str());
+      if (!f.no_shrink) {
+        const check::ShrinkResult sr = check::ShrinkFailure(prog, opt);
+        const auto kept =
+            std::count(sr.enabled.begin(), sr.enabled.end(), true);
+        std::printf(
+            "  shrunk to %zu/%zu blocks in %d runs; failure: %s\n"
+            "--- shrunk reproducer ---\n%s-------------------------\n",
+            static_cast<std::size_t>(kept), sr.enabled.size(), sr.runs,
+            sr.failure.c_str(), sr.source.c_str());
+      }
+    }
+  }
+  std::printf("fuzz: %d/%d cases failed, %llu retires compared%s\n", failures,
+              cases, (unsigned long long)total_retired,
+              f.no_check ? " (invariant checker off)" : "");
+  return failures;
+}
+
+// --- workloads, version ----------------------------------------------------
+
+struct NoFlags {
+  void Bind(ArgParser&) {}
+};
+
+int CmdWorkloads(const NoFlags&, const Args&) {
+  for (const auto& w : AllWorkloads())
+    std::printf("%-8s %s\n", w.name.c_str(), w.description.c_str());
+  return 0;
+}
+
+int CmdVersion(const NoFlags&, const Args&) {
+  std::printf("tfi (transient-fault-injection toolkit)\n");
+  std::printf("  sanitizer: %s\n", TFI_SANITIZE_NAME);
+#ifdef NDEBUG
+  std::printf("  assertions: off\n");
+#else
+  std::printf("  assertions: on\n");
+#endif
+  return 0;
+}
+
+// --- the subcommand table ----------------------------------------------------
+
+struct Subcommand {
+  const char* name;
+  const char* args;  // positional-argument synopsis
+  int min_args;
+  int max_args;  // -1 = any number
+  int (*main)(const Subcommand& self, int argc, char** argv);
+};
+
+// Parses argv[2..] against the flags Flags binds, checks the positional
+// count, and runs Cmd; a usage error prints this subcommand's flags and
+// returns 2.
+template <typename Flags, int (*Cmd)(const Flags&, const Args&)>
+int Dispatch(const Subcommand& self, int argc, char** argv) {
+  Flags flags;
+  ArgParser p;
+  flags.Bind(p);
+  std::string error;
+  if (!p.Parse(argc, argv, /*begin=*/2))
+    error = p.error();
+  else if (const int n = static_cast<int>(p.positional().size());
+           n < self.min_args || (self.max_args >= 0 && n > self.max_args))
+    error = "wrong number of arguments";
+  if (!error.empty()) {
+    std::fprintf(stderr, "tfi %s: %s\nusage: tfi %s %s\n%s", self.name,
+                 error.c_str(), self.name, self.args, p.Help().c_str());
+    return 2;
+  }
+  try {
+    return Cmd(flags, p.positional());
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tfi: %s\n", e.what());
+    return 1;
+  }
+}
+
+constexpr Subcommand kSubcommands[] = {
+    {"run", "[workload|file.s ...] [flags]", 0, -1, Dispatch<RunFlags, CmdRun>},
+    {"exec", "<workload|file.s> [flags]", 1, 1, Dispatch<ExecFlags, CmdExec>},
+    {"campaign", "<workload> [flags]", 1, 1,
+     Dispatch<CampaignFlags, CmdCampaign>},
+    {"sweep", "[workload] [flags]", 0, 1, Dispatch<SweepFlags, CmdSweep>},
+    {"soft", "<workload> <model> [flags]", 2, 2, Dispatch<SoftFlags, CmdSoft>},
+    {"figures", "[name ...] [flags]", 0, -1,
+     Dispatch<FiguresFlags, CmdFigures>},
+    {"inventory", "[flags]", 0, 0, Dispatch<InventoryFlags, CmdInventory>},
+    {"asmlint", "[unit|file.s ...] [flags]", 0, -1,
+     Dispatch<AsmlintFlags, CmdAsmlint>},
+    {"statelint", "--src DIR [flags]", 0, 0,
+     Dispatch<StatelintFlags, CmdStatelint>},
+    {"fuzz", "[flags]", 0, 0, Dispatch<FuzzFlags, CmdFuzz>},
+    {"workloads", "", 0, 0, Dispatch<NoFlags, CmdWorkloads>},
+    {"version", "", 0, 0, Dispatch<NoFlags, CmdVersion>},
+};
+
 int Usage() {
-  Args dummy;
-  std::fprintf(stderr,
-               "usage: tfi "
-               "<run|exec|campaign|sweep|soft|figures|asmlint|inventory|"
-               "workloads|version> ...\n"
-               "options:\n%s"
-               "see the header of tools/tfi.cpp for details\n",
-               MakeParser(dummy).Help().c_str());
+  std::fprintf(stderr, "usage: tfi <subcommand> ...\n");
+  for (const Subcommand& s : kSubcommands)
+    std::fprintf(stderr, "  tfi %s%s%s\n", s.name, *s.args ? " " : "", s.args);
+  std::fprintf(stderr, "see the header of tools/tfi.cpp for details\n");
   return 2;
 }
 
@@ -628,26 +896,10 @@ int Usage() {
 int main(int argc, char** argv) {
   using namespace tfsim;
   if (argc < 2) return Usage();
-  const std::string cmd = argv[1];
-  if (cmd == "version" || cmd == "--version") return CmdVersion();
-  const Args args = Parse(argc, argv);
-  if (!args.error.empty()) {
-    std::fprintf(stderr, "tfi: %s\n", args.error.c_str());
-    return Usage();
-  }
-  try {
-    if (cmd == "workloads") return CmdWorkloads();
-    if (cmd == "inventory") return CmdInventory(args);
-    if (cmd == "run") return CmdRun(args);
-    if (cmd == "exec") return CmdExec(args);
-    if (cmd == "campaign") return CmdCampaign(args);
-    if (cmd == "sweep") return CmdSweep(args);
-    if (cmd == "soft") return CmdSoft(args);
-    if (cmd == "figures") return CmdFigures(args);
-    if (cmd == "asmlint") return CmdAsmlint(args);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "tfi: %s\n", e.what());
-    return 1;
-  }
+  const std::string cmd =
+      std::strcmp(argv[1], "--version") == 0 ? "version" : argv[1];
+  for (const Subcommand& s : kSubcommands)
+    if (cmd == s.name) return s.main(s, argc, argv);
+  std::fprintf(stderr, "tfi: unknown subcommand '%s'\n", cmd.c_str());
   return Usage();
 }
